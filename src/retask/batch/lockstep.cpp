@@ -190,11 +190,12 @@ std::vector<RejectionSolution> lockstep_select(const std::vector<const Rejection
   // time (timers never enter the gated bench metrics).
   RETASK_SCOPED_TIMER("batch.select_scan_ns");
 
-  // Chunked select: the serial sweep per lane, with the energy evaluations
-  // of all lanes for one 64-row chunk fused into a single batched call. The
+  // Chunked select: the serial sweep per lane, with the energy reads of all
+  // lanes for one 64-row chunk fused into a single chunk read over the
+  // union mask (core/dp_select.hpp's predict / chunk read / replay). The
   // rows needed are predicted at chunk start; the prediction is a superset
   // of the true need (the best objective only improves within a chunk), and
-  // E is pure, so extra evaluations cannot change a bit. Both the predict
+  // E is pure, so extra reads cannot change a bit. Both the predict
   // scan and the replay's row walk run off one select_mask_f64 word per
   // lane per chunk: bit w - w0 is set iff total - kept < snapshot, which
   // folds the -inf reachability skip into the bound compare, and ascending
@@ -208,9 +209,7 @@ std::vector<RejectionSolution> lockstep_select(const std::vector<const Rejection
   std::vector<char> done(m, 0);
   std::vector<std::uint64_t> lane_mask(m, 0);
   for (std::size_t k = 0; k < m; ++k) total[k] = chunk[k]->tasks().total_penalty();
-  std::vector<Cycles> need_cycles;
-  std::vector<double> need_energy;
-  std::vector<double> energy_at(64, 0.0);
+  double scratch[64] = {0.0};  // gather slots of non-dense chunk reads
   RETASK_OBS_ONLY(std::uint64_t scan_words = 0;)
   for (std::size_t w0 = 0; w0 < width; w0 += 64) {
     const std::size_t w1 = std::min(width, w0 + 64);
@@ -228,20 +227,11 @@ std::vector<RejectionSolution> lockstep_select(const std::vector<const Rejection
       need_mask |= lane_mask[k];
     }
     if (all_done) break;
-    need_cycles.clear();
-    for (std::uint64_t bits = need_mask; bits != 0; bits &= bits - 1) {
-      need_cycles.push_back(static_cast<Cycles>(w0 + static_cast<std::size_t>(__builtin_ctzll(bits))));
-    }
-    if (!need_cycles.empty()) {
-      need_energy.resize(need_cycles.size());
-      chunk[0]->energy_of_cycles_batch(need_cycles.data(), need_energy.data(),
-                                       need_cycles.size());
-      std::size_t p = 0;
-      for (std::uint64_t bits = need_mask; bits != 0; bits &= bits - 1) {
-        energy_at[static_cast<std::size_t>(__builtin_ctzll(bits))] = need_energy[p++];
-      }
-      RETASK_COUNT("batch.select_energy_evals", need_cycles.size());
-    }
+    if (need_mask == 0) continue;
+    // One chunk read for the union of the lanes' rows; the view stays valid
+    // through the lane scans (no other memo call intervenes).
+    const double* energy_at = chunk[0]->energy_chunk(w0, need_mask, scratch);
+    RETASK_COUNT("batch.select_energy_evals", __builtin_popcountll(need_mask));
     // Kernelized replay of every live lane's decision walk over its masked
     // rows (same prunes, same early-exit, same improvement order as the
     // serial sweep; see select_scan_f64 in simd/kernels.hpp).
@@ -249,7 +239,7 @@ std::vector<RejectionSolution> lockstep_select(const std::vector<const Rejection
       if (done[k] || lane_mask[k] == 0) continue;
       RETASK_OBS_ONLY(++scan_words;)
       const std::size_t rows = std::min(w1, cap[k] + 1) - w0;
-      done[k] = kernels.select_scan_f64(arena.data() + k * stride + w0, energy_at.data(), rows,
+      done[k] = kernels.select_scan_f64(arena.data() + k * stride + w0, energy_at, rows,
                                         lane_mask[k], total[k], w0, &best_obj[k],
                                         &best_w[k]) != 0
                     ? 1

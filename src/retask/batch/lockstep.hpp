@@ -9,9 +9,10 @@
 //  * Exact DP — one lane-major arena (lane k's table at arena[k * stride])
 //    filled per lane by the same contiguous relaxation kernel the solo
 //    solver uses, with per-lane reachability bounds and capacity pruning.
-//    The select sweep batches the energy evaluations of all lanes through
-//    one `energy_of_cycles_batch` call per 64-row chunk — legal because the
-//    shape check guarantees every lane's curve produces identical bits.
+//    The select sweep reads the energies of all lanes through one
+//    `energy_chunk` call per 64-row chunk over the union of the lanes'
+//    rows — legal because the shape check guarantees every lane's curve
+//    produces identical bits.
 //    (A lane-interleaved fill through `relax_desc_f64_lanes` was measured
 //    slower than per-lane contiguous fills on AVX2 — gathers lose to the
 //    4-wide contiguous path — so the shared work lives in the select, not

@@ -48,47 +48,22 @@ void EnergyMemo::reserve_dense(Cycles max_cycles) {
 
 void EnergyMemo::ensure_dense(Shard& shard, std::size_t width) {
   if (shard.dense.size() >= width) return;
-  shard.dense.resize(width, 0.0);
+  shard.dense.resize((width + 63) / 64 * 64, 0.0);
   shard.dense_set.resize((width + 63) / 64, 0);
 }
 
 bool EnergyMemo::lookup(Cycles cycles, double& energy) {
   Shard* shard = local_shard();
   if (shard == nullptr) return false;  // cold fallback, uncounted
-  const std::size_t width = dense_width_.load(std::memory_order_relaxed);
-  if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
-    ensure_dense(*shard, width);
-    const auto w = static_cast<std::size_t>(cycles);
-    if ((shard->dense_set[w >> 6] >> (w & 63)) & 1u) {
-      count_hit();
-      energy = shard->dense[w];
-      return true;
-    }
-    count_miss();
-    return false;
-  }
-  const auto it = shard->values.find(cycles);
-  if (it == shard->values.end()) {
-    count_miss();
-    return false;
-  }
-  count_hit();
-  energy = it->second;
-  return true;
+  const bool hit = find(*shard, dense_width_.load(std::memory_order_relaxed), cycles, energy);
+  count(hit, !hit);
+  return hit;
 }
 
 void EnergyMemo::record(Cycles cycles, double energy) {
   Shard* shard = local_shard();
   if (shard == nullptr) return;
-  const std::size_t width = dense_width_.load(std::memory_order_relaxed);
-  if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
-    ensure_dense(*shard, width);
-    const auto w = static_cast<std::size_t>(cycles);
-    shard->dense[w] = energy;
-    shard->dense_set[w >> 6] |= std::uint64_t{1} << (w & 63);
-    return;
-  }
-  shard->values.emplace(cycles, energy);
+  store(*shard, dense_width_.load(std::memory_order_relaxed), cycles, energy);
 }
 
 std::size_t EnergyMemo::local_size() {
@@ -109,8 +84,9 @@ std::size_t EnergyMemo::shard_count() const {
   return count;
 }
 
-void EnergyMemo::count_hit() { RETASK_COUNT("cache.energy_hits", 1); }
-
-void EnergyMemo::count_miss() { RETASK_COUNT("cache.energy_misses", 1); }
+void EnergyMemo::count(std::uint64_t hits, std::uint64_t misses) {
+  if (hits != 0) RETASK_COUNT("cache.energy_hits", hits);
+  if (misses != 0) RETASK_COUNT("cache.energy_misses", misses);
+}
 
 }  // namespace retask

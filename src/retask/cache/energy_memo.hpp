@@ -67,28 +67,95 @@ class EnergyMemo {
     Shard* shard = local_shard();
     if (shard == nullptr) return compute(cycles);  // shard slots exhausted
     const std::size_t width = dense_width_.load(std::memory_order_relaxed);
-    if (width != 0 && cycles >= 0 && static_cast<std::size_t>(cycles) < width) {
-      ensure_dense(*shard, width);
-      const auto w = static_cast<std::size_t>(cycles);
-      if ((shard->dense_set[w >> 6] >> (w & 63)) & 1u) {
-        count_hit();
-        return shard->dense[w];
-      }
-      count_miss();
-      const double energy = compute(cycles);
-      shard->dense[w] = energy;
-      shard->dense_set[w >> 6] |= std::uint64_t{1} << (w & 63);
+    double energy = 0.0;
+    if (find(*shard, width, cycles, energy)) {
+      count(1, 0);
       return energy;
     }
-    const auto it = shard->values.find(cycles);
-    if (it != shard->values.end()) {
-      count_hit();
-      return it->second;
-    }
-    count_miss();
-    const double energy = compute(cycles);
-    shard->values.emplace(cycles, energy);
+    count(0, 1);
+    energy = compute(cycles);
+    store(*shard, width, cycles, energy);
     return energy;
+  }
+
+  /// Energies of the rows w0 + b for every set bit b of `mask`, read as one
+  /// 64-row chunk: the returned pointer p satisfies p[b] == E(w0 + b) for
+  /// each set bit (other slots hold unspecified finite values) and always
+  /// addresses 64 readable doubles. `w0` must be a multiple of 64.
+  ///
+  ///  * Dense path (the chunk's masked rows lie below the reserve_dense
+  ///    width): the chunk's validity is exactly one word of the shard's
+  ///    bitmap, so only the missing rows run through ONE
+  ///    `batch(cycles, out, n)` call and are recorded; the pointer aims
+  ///    straight into the shard's dense row.
+  ///  * Otherwise (hash path, a chunk straddling the dense width, or shard
+  ///    slots exhausted): hits and computed misses are gathered into the
+  ///    caller's 64-slot `scratch`, which is returned.
+  ///
+  /// `batch` must be bit-identical to one-at-a-time evaluation (the
+  /// curve's fused energy_cycles_batch kernel is). Hits and misses are
+  /// counted once per chunk by popcount, so cache.energy_hits /
+  /// cache.energy_misses carry the same per-row totals as row-by-row
+  /// lookups.
+  ///
+  /// Pointer lifetime: valid until the calling thread's next call on this
+  /// memo — a later call may grow the dense row (reserve_dense raised the
+  /// width) and reallocate it, so callers re-acquire the pointer per chunk.
+  template <typename BatchFn>
+  const double* chunk(std::size_t w0, std::uint64_t mask, double* scratch, const BatchFn& batch) {
+    if (mask == 0) return scratch;
+    Shard* shard = local_shard();
+    if (shard == nullptr) {  // shard slots exhausted: cold, uncounted
+      fill_chunk(w0, mask, scratch, batch);
+      return scratch;
+    }
+    const std::size_t width = dense_width_.load(std::memory_order_relaxed);
+    const std::size_t top = w0 + 63 - static_cast<std::size_t>(__builtin_clzll(mask));
+    if (top < width) {
+      ensure_dense(*shard, width);
+      std::uint64_t& valid = shard->dense_set[w0 >> 6];
+      const std::uint64_t missing = mask & ~valid;
+      count(popcount(mask & valid), popcount(missing));
+      double* row = shard->dense.data() + w0;
+      if (missing != 0) {
+        fill_chunk(w0, missing, row, batch);
+        valid |= missing;
+      }
+      return row;
+    }
+    std::uint64_t missing = 0;
+    for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+      const int bit = __builtin_ctzll(bits);
+      if (!find(*shard, width, static_cast<Cycles>(w0) + bit, scratch[bit])) {
+        missing |= std::uint64_t{1} << bit;
+      }
+    }
+    count(popcount(mask & ~missing), popcount(missing));
+    if (missing != 0) {
+      fill_chunk(w0, missing, scratch, batch);
+      for (std::uint64_t bits = missing; bits != 0; bits &= bits - 1) {
+        const int bit = __builtin_ctzll(bits);
+        store(*shard, width, static_cast<Cycles>(w0) + bit, scratch[bit]);
+      }
+    }
+    return scratch;
+  }
+
+  /// Evaluates rows w0 + b for every set bit b of `bits` with one
+  /// `batch` call, writing row b's energy to dst[b] (other slots are left
+  /// untouched). The memo-free path of chunk(), shared with callers that
+  /// have no memo attached.
+  template <typename BatchFn>
+  static void fill_chunk(std::size_t w0, std::uint64_t bits, double* dst, const BatchFn& batch) {
+    Cycles cycles[64] = {};
+    double out[64];
+    std::size_t n = 0;
+    for (std::uint64_t b = bits; b != 0; b &= b - 1) {
+      cycles[n++] = static_cast<Cycles>(w0) + __builtin_ctzll(b);
+    }
+    batch(cycles, out, n);
+    n = 0;
+    for (std::uint64_t b = bits; b != 0; b &= b - 1) dst[__builtin_ctzll(b)] = out[n++];
   }
 
   /// Non-computing lookup in the calling thread's shard for the batched
@@ -110,6 +177,10 @@ class EnergyMemo {
   /// Shards allocated so far (grows monotonically; tests).
   std::size_t shard_count() const;
 
+  /// Densest range reserve_dense accepts: 2^22 entries = 32 MiB of doubles
+  /// per shard. Larger requests keep the hash path.
+  static constexpr std::size_t kDenseLimit = std::size_t{1} << 22;
+
  private:
   struct Shard {
     std::unordered_map<Cycles, double> values;
@@ -121,17 +192,48 @@ class EnergyMemo {
   /// path; far above the worker-pool sizes the harness uses.
   static constexpr std::size_t kMaxShards = 256;
 
-  /// Densest range reserve_dense accepts: 2^22 entries = 32 MiB of doubles
-  /// per shard. Larger requests keep the hash path.
-  static constexpr std::size_t kDenseLimit = std::size_t{1} << 22;
-
   Shard* local_shard();
-  /// Grows the calling thread's shard-local dense arrays to `width` (the
-  /// shard is thread-private, so the resize cannot race; existing entries
-  /// and bits are preserved).
+  /// Grows the calling thread's shard-local dense arrays to `width`, the
+  /// value row rounded up to whole 64-row chunks so chunk() can hand out
+  /// 64 readable slots at any chunk below the width (the shard is
+  /// thread-private, so the resize cannot race; existing entries and bits
+  /// are preserved).
   static void ensure_dense(Shard& shard, std::size_t width);
-  static void count_hit();
-  static void count_miss();
+  static bool in_dense(std::size_t width, Cycles cycles) {
+    return cycles >= 0 && static_cast<std::size_t>(cycles) < width;
+  }
+  /// Uncounted probe of one row in `shard` under dense width `width`: the
+  /// dense row below it, the hash map at and above it.
+  static bool find(Shard& shard, std::size_t width, Cycles cycles, double& energy) {
+    if (in_dense(width, cycles)) {
+      ensure_dense(shard, width);
+      const auto w = static_cast<std::size_t>(cycles);
+      if (((shard.dense_set[w >> 6] >> (w & 63)) & 1u) == 0) return false;
+      energy = shard.dense[w];
+      return true;
+    }
+    const auto it = shard.values.find(cycles);
+    if (it == shard.values.end()) return false;
+    energy = it->second;
+    return true;
+  }
+  /// Uncounted insert matching find().
+  static void store(Shard& shard, std::size_t width, Cycles cycles, double energy) {
+    if (in_dense(width, cycles)) {
+      ensure_dense(shard, width);
+      const auto w = static_cast<std::size_t>(cycles);
+      shard.dense[w] = energy;
+      shard.dense_set[w >> 6] |= std::uint64_t{1} << (w & 63);
+      return;
+    }
+    shard.values.emplace(cycles, energy);
+  }
+  static std::uint64_t popcount(std::uint64_t bits) {
+    return static_cast<std::uint64_t>(__builtin_popcountll(bits));
+  }
+  /// Adds to cache.energy_hits / cache.energy_misses (a zero count leaves
+  /// its counter untouched, as a row-by-row walk would).
+  static void count(std::uint64_t hits, std::uint64_t misses);
 
   std::array<std::atomic<Shard*>, kMaxShards> shards_{};
   /// Dense-range width (max_cycles + 1); 0 = hash-only. Monotonic.

@@ -22,13 +22,10 @@
 namespace retask {
 
 /// Buffers of one exact/budgeted DP solve: the value row plus the choice
-/// table, and the chunked-select batch buffers (core/dp_select.hpp: the
-/// predicted rows of one 64-row chunk and their batched energies).
+/// table.
 struct DpScratch {
   std::vector<double> value;
   BitMatrix take;
-  std::vector<Cycles> select_cycles;
-  std::vector<double> select_energy;
 };
 
 /// A filled exact-DP table captured for handoff between solvers — the

@@ -2,21 +2,25 @@
 //
 // Reading a solution off the exact-DP table means sweeping every reachable
 // accepted-cycle total w for the best objective E(w) + (total_penalty -
-// kept[w]). The energy evaluation dominates that sweep, and evaluating it
-// row by row wastes the fused cycles->energy batch kernel (simd/kernels.hpp)
-// that batch/lockstep.cpp already exploits across lanes. This header applies
-// the same predict/batch/replay idiom to a single table so the sweep-reuse
-// warm path (ExactDpSolver::solve_sweep) and the serve-mode delta solver
-// batch their per-point energy evaluations too:
+// kept[w]). The energy reads dominate that sweep. This header runs it in
+// 64-row chunks — the cold solve, the sweep-reuse warm path
+// (ExactDpSolver::solve_sweep) and the serve-mode delta solver all select
+// through it, and the lockstep lanes (batch/lockstep.cpp) apply the same
+// three steps with one union mask per chunk:
 //
 //   1. predict — per 64-row chunk, keep the rows that survive the penalty
-//      prune against the best objective at chunk entry. The live best only
-//      ever decreases, so this snapshot keeps a superset of the rows the
-//      serial sweep would evaluate; E is a pure function of the row, so the
-//      extra evaluations cannot change the outcome.
-//   2. batch — one BatchEnergyFn call per chunk over the predicted rows.
-//      The callback must be bit-identical to one-at-a-time evaluation
-//      (RejectionProblem::energy_of_cycles_batch guarantees exactly that).
+//      prune against the best objective at chunk entry (one vector
+//      select_mask_f64 word). The live best only ever decreases within the
+//      chunk, so this snapshot keeps a superset of the rows the serial
+//      sweep would evaluate; E is a pure function of the row, so reading
+//      the extra rows cannot change the outcome.
+//   2. chunk read — one energy-chunk call (EnergyMemo::chunk through
+//      RejectionProblem::energy_chunk) returns a dense 64-slot view holding
+//      E(w0 + b) for every predicted row b. On a dense memo it points
+//      straight into the memo's row, and only rows never evaluated before
+//      run through one fused batch kernel call; otherwise the rows are
+//      gathered into a caller-owned 64-slot scratch. Either way the values
+//      are the bits one-at-a-time evaluation produces.
 //   3. replay — scan the predicted rows with the serial loop's live prunes:
 //      the penalty prune re-checked against the current best, and the
 //      energy early-exit (E non-decreasing in the load) ending the whole
@@ -25,13 +29,13 @@
 #ifndef RETASK_CORE_DP_SELECT_HPP
 #define RETASK_CORE_DP_SELECT_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "retask/simd/kernels.hpp"
-#include "retask/task/task.hpp"
 
 namespace retask {
 
@@ -39,25 +43,24 @@ namespace retask {
 struct DpSelectResult {
   std::size_t best_w = 0;
   double best_objective = std::numeric_limits<double>::infinity();
-  std::uint64_t energy_evals = 0;  ///< rows sent through the batch callback
+  std::uint64_t energy_evals = 0;  ///< predicted rows read through the chunk accessor
 };
 
 /// Sweeps rows [0, cap] of `kept` (the exact-DP value table: maximum total
 /// penalty of accepted tasks at exactly w cycles, -inf when unreachable) for
-/// the row minimizing E(w) + (total_penalty - kept[w]), batching energy
-/// evaluations through `energy_batch(cycles, out, n)` in 64-row chunks.
-/// `batch_cycles` / `batch_energy` are caller-owned reusable buffers (see
-/// DpScratch in cache/scratch.hpp); the result is bit-identical to the
-/// serial row-by-row sweep with the penalty prune and energy early-exit.
-template <class BatchEnergyFn>
+/// the row minimizing E(w) + (total_penalty - kept[w]). Energies are read
+/// per 64-row chunk through `energy_chunk(w0, mask, scratch)`, which returns
+/// a pointer p with p[b] == E(w0 + b) for every set bit b of `mask` (the
+/// contract of RejectionProblem::energy_chunk / EnergyMemo::chunk). The
+/// result is bit-identical to the serial row-by-row sweep with the penalty
+/// prune and energy early-exit.
+template <class EnergyChunkFn>
 DpSelectResult select_best_row(const std::vector<double>& kept, std::size_t cap,
-                               double total_penalty, BatchEnergyFn&& energy_batch,
-                               std::vector<Cycles>& batch_cycles,
-                               std::vector<double>& batch_energy) {
+                               double total_penalty, EnergyChunkFn&& energy_chunk) {
   constexpr std::size_t kChunk = 64;
   const simd::KernelTable& kernels = simd::kernels();
   DpSelectResult result;
-  double energy_at[kChunk] = {0.0};  // dense per-chunk view; stale rows are never walked
+  double scratch[kChunk] = {0.0};  // gather slots of non-dense reads
   bool done = false;
   for (std::size_t chunk = 0; chunk <= cap && !done; chunk += kChunk) {
     const std::size_t end = std::min(cap, chunk + kChunk - 1);
@@ -67,19 +70,9 @@ DpSelectResult select_best_row(const std::vector<double>& kept, std::size_t cap,
     const std::uint64_t mask =
         kernels.select_mask_f64(kept.data() + chunk, end - chunk + 1, total_penalty,
                                 result.best_objective);
-    batch_cycles.clear();
-    for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-      const auto bit = static_cast<std::size_t>(__builtin_ctzll(bits));
-      batch_cycles.push_back(static_cast<Cycles>(chunk + bit));
-    }
-    if (batch_cycles.empty()) continue;
-    batch_energy.resize(batch_cycles.size());
-    energy_batch(batch_cycles.data(), batch_energy.data(), batch_cycles.size());
-    result.energy_evals += batch_cycles.size();
-    std::size_t j = 0;
-    for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-      energy_at[static_cast<std::size_t>(__builtin_ctzll(bits))] = batch_energy[j++];
-    }
+    if (mask == 0) continue;
+    const double* energy_at = energy_chunk(chunk, mask, scratch);
+    result.energy_evals += static_cast<std::uint64_t>(__builtin_popcountll(mask));
     // Kernelized replay of the serial sweep's decision walk over the masked
     // rows (same prunes, same early-exit, same improvement order).
     done = kernels.select_scan_f64(kept.data() + chunk, energy_at, end - chunk + 1, mask,

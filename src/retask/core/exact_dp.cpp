@@ -115,17 +115,17 @@ RejectionSolution select_best(const RejectionProblem& problem, Cycles cap, DpScr
   // in the load (the invariant the budgeted binary search and the
   // exhaustive bound also rely on; asserted for every registered power
   // model in tests/test_solve_cache.cpp) ends the sweep once the energy
-  // term alone loses. The chunked helper batches the surviving rows
-  // through the fused cycles->energy kernel while replaying exactly these
-  // serial prunes, so the selected row is bit-identical to the naive
-  // sweep's (see core/dp_select.hpp for the superset argument).
+  // term alone loses. The chunked helper reads the surviving rows' energies
+  // one 64-row chunk at a time through the problem's energy accessor while
+  // replaying exactly these serial prunes, so the selected row is
+  // bit-identical to the naive sweep's (see core/dp_select.hpp for the
+  // superset argument).
   const double total_penalty = problem.tasks().total_penalty();
   const DpSelectResult sel = select_best_row(
       scratch.value, static_cast<std::size_t>(cap), total_penalty,
-      [&problem](const Cycles* cycles, double* out, std::size_t m) {
-        problem.energy_of_cycles_batch(cycles, out, m);
-      },
-      scratch.select_cycles, scratch.select_energy);
+      [&problem](std::size_t w0, std::uint64_t mask, double* slots) {
+        return problem.energy_chunk(w0, mask, slots);
+      });
   RETASK_COUNT("exact_dp.energy_evals", sel.energy_evals);
   RETASK_ASSERT(sel.best_objective < std::numeric_limits<double>::infinity());
 

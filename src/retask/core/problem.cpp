@@ -74,6 +74,16 @@ void RejectionProblem::energy_of_cycles_batch(const Cycles* cycles, double* out,
   }
 }
 
+const double* RejectionProblem::energy_chunk(std::size_t w0, std::uint64_t mask,
+                                            double* scratch) const {
+  const auto batch = [this](const Cycles* cycles, double* out, std::size_t n) {
+    curve_.energy_cycles_batch(work_per_cycle_, cycles, out, n);
+  };
+  if (energy_memo_ != nullptr) return energy_memo_->chunk(w0, mask, scratch, batch);
+  EnergyMemo::fill_chunk(w0, mask, scratch, batch);
+  return scratch;
+}
+
 double RejectionProblem::rejected_penalty(const std::vector<bool>& accepted) const {
   require(accepted.size() == tasks_.size(), "RejectionProblem: accept mask size mismatch");
   double penalty = 0.0;

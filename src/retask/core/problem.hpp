@@ -18,6 +18,8 @@
 #ifndef RETASK_CORE_PROBLEM_HPP
 #define RETASK_CORE_PROBLEM_HPP
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -70,6 +72,15 @@ class RejectionProblem {
   /// batch are recomputed identically (E is pure), so only the hit/miss
   /// counters — never a value — can differ from the one-at-a-time path.
   void energy_of_cycles_batch(const Cycles* cycles, double* out, std::size_t n) const;
+
+  /// Energies of one 64-row chunk of loads: p[b] == energy_of_cycles(w0 +
+  /// b) bit for bit for every set bit b of `mask`, where p is the returned
+  /// pointer (64 readable slots; `w0` a multiple of 64). Reads through
+  /// EnergyMemo::chunk when a memo is attached — straight out of its dense
+  /// row where reserved — and otherwise evaluates the masked rows into the
+  /// caller's 64-slot `scratch`. The pointer is valid until this thread's
+  /// next call on the attached memo.
+  const double* energy_chunk(std::size_t w0, std::uint64_t mask, double* scratch) const;
 
   /// Shares `memo` for energy_of_cycles lookups. The caller asserts that
   /// every problem attached to one memo has an identical (EnergyCurve,

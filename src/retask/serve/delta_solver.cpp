@@ -38,7 +38,16 @@ DeltaSolver::DeltaSolver(EnergyCurve curve, double work_per_cycle, Config config
   table_.value.assign(width_, kNegInf);
   table_.value[0] = 0.0;
   table_.take.reset(0, width_);
-  memo_ = config_.shared_memo != nullptr ? config_.shared_memo : std::make_shared<EnergyMemo>();
+  if (config_.shared_memo != nullptr) {
+    memo_ = config_.shared_memo;  // keeps its owner's dense reservation
+  } else {
+    // Every select sweeps loads in [0, capacity]: a dense row (one extra
+    // W + 1 doubles, allocated on first use) lets the chunked select read
+    // energies in place instead of probing a hash per row. Capacities
+    // beyond EnergyMemo::kDenseLimit keep the hash path.
+    memo_ = std::make_shared<EnergyMemo>();
+    memo_->reserve_dense(cycle_capacity_);
+  }
   select();
 }
 
@@ -227,28 +236,6 @@ double DeltaSolver::energy_of(Cycles cycles) {
   });
 }
 
-void DeltaSolver::energy_batch(const Cycles* cycles, double* out, std::size_t n) {
-  // Mirrors RejectionProblem::energy_of_cycles_batch: memo hits replay
-  // recorded bits, misses run through the fused batch kernel (bit-identical
-  // to one-at-a-time evaluation) and are recorded.
-  miss_index_.clear();
-  miss_cycles_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!memo_->lookup(cycles[i], out[i])) {
-      miss_index_.push_back(i);
-      miss_cycles_.push_back(cycles[i]);
-    }
-  }
-  if (miss_index_.empty()) return;
-  miss_out_.resize(miss_index_.size());
-  curve_.energy_cycles_batch(work_per_cycle_, miss_cycles_.data(), miss_out_.data(),
-                             miss_index_.size());
-  for (std::size_t j = 0; j < miss_index_.size(); ++j) {
-    memo_->record(miss_cycles_[j], miss_out_[j]);
-    out[miss_index_[j]] = miss_out_[j];
-  }
-}
-
 void DeltaSolver::select() {
   const std::size_t n = tasks_.size();
   // A cold solve fills at min(capacity, total cycles); our retained table
@@ -262,10 +249,14 @@ void DeltaSolver::select() {
   double total_penalty = 0.0;
   for (const FrameTask& task : tasks_) total_penalty += task.penalty;
 
+  const auto batch = [this](const Cycles* cycles, double* out, std::size_t m) {
+    curve_.energy_cycles_batch(work_per_cycle_, cycles, out, m);
+  };
   const DpSelectResult sel = select_best_row(
       table_.value, cap, total_penalty,
-      [this](const Cycles* cycles, double* out, std::size_t m) { energy_batch(cycles, out, m); },
-      table_.select_cycles, table_.select_energy);
+      [this, &batch](std::size_t w0, std::uint64_t mask, double* slots) {
+        return memo_->chunk(w0, mask, slots, batch);
+      });
   RETASK_COUNT("serve.select_energy_evals", sel.energy_evals);
   RETASK_ASSERT(sel.best_objective < std::numeric_limits<double>::infinity());
 

@@ -30,10 +30,11 @@
 // cold solves to enforce exactly this, and tests/test_delta_solver.cpp
 // pins the edge cases.
 //
-// The request path allocates nothing in steady state: the table and select
-// buffers live in a private DpScratch arena at their high-water mark,
-// checkpoint rows are recycled through a pool, and the solution's vectors
-// are assign()ed in place.
+// The request path allocates nothing in steady state: the table lives in a
+// private DpScratch arena at its high-water mark, checkpoint rows are
+// recycled through a pool, the select reads energies in place from the
+// memo's dense row (one W + 1 row of doubles, reserved at construction),
+// and the solution's vectors are assign()ed in place.
 #ifndef RETASK_SERVE_DELTA_SOLVER_HPP
 #define RETASK_SERVE_DELTA_SOLVER_HPP
 
@@ -69,8 +70,10 @@ class DeltaSolver {
     /// Energy memo to share with other solvers of the SAME platform (curve +
     /// work_per_cycle) — e.g. the per-PE solvers of one multiprocessor
     /// instance, whose loads heavily overlap. Null: the solver creates its
-    /// own. Sharing is safe (the memoized value is a pure function of the
-    /// cycles) and cannot change a solution bit.
+    /// own, with a dense row reserved over [0, capacity]; a shared memo
+    /// keeps whatever reservation its owner made. Sharing is safe (the
+    /// memoized value is a pure function of the cycles) and cannot change a
+    /// solution bit.
     std::shared_ptr<EnergyMemo> shared_memo;
   };
 
@@ -154,9 +157,6 @@ class DeltaSolver {
   /// energy(work_per_cycle * cycles) through the retained memo — the same
   /// computation RejectionProblem::energy_of_cycles performs.
   double energy_of(Cycles cycles);
-  /// Batched energy_of, mirroring RejectionProblem::energy_of_cycles_batch
-  /// (memo hits replayed, misses through the fused batch kernel).
-  void energy_batch(const Cycles* cycles, double* out, std::size_t n);
 
   EnergyCurve curve_;
   double work_per_cycle_ = 1.0;
@@ -168,8 +168,7 @@ class DeltaSolver {
   Cycles total_cycles_ = 0;
 
   // Retained DP state: value row + choice rows (row capacity grows
-  // geometrically; rows_ tracks the allocated count) + select batch
-  // buffers, all in one private arena.
+  // geometrically; rows_ tracks the allocated count) in one private arena.
   DpScratch table_;
   std::size_t rows_ = 0;
   std::size_t reachable_ = 0;
@@ -182,10 +181,6 @@ class DeltaSolver {
   std::vector<std::vector<double>> cp_pool_;
 
   std::shared_ptr<EnergyMemo> memo_;
-  // Scratch of energy_batch's memo miss partition.
-  std::vector<std::size_t> miss_index_;
-  std::vector<Cycles> miss_cycles_;
-  std::vector<double> miss_out_;
 
   RejectionSolution solution_;
   Cycles accepted_load_ = 0;

@@ -10,9 +10,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <thread>
+#include <vector>
 
 #include "retask/common/error.hpp"
 #include "retask/obs/metrics.hpp"
@@ -222,6 +225,83 @@ std::uint64_t ServeLoopStats::latency_percentile_ns(double p) const {
   return std::uint64_t{1} << (latency_ns_log2.size() - 1);
 }
 
+namespace {
+
+/// Reply drain of the async pump: a writer thread frames and flushes the
+/// replies the pump queues, in queue order, recycling drained buffers so
+/// the steady state allocates nothing. The destructor ends and joins the
+/// thread, so every way out of run_serve_loop — end of stream, a protocol
+/// error, an exception out of a solve — joins before the stream dies.
+class ReplyWriter {
+ public:
+  explicit ReplyWriter(std::ostream& out) : thread_([this, &out] { run(out); }) {}
+  ReplyWriter(const ReplyWriter&) = delete;
+  ReplyWriter& operator=(const ReplyWriter&) = delete;
+  ~ReplyWriter() { close(); }
+
+  void push(std::string_view reply) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::string slot;
+    if (!spare_.empty()) {
+      slot = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    slot.assign(reply);
+    pending_.push_back(std::move(slot));
+    cv_.notify_one();
+  }
+
+  /// Drains the queue and joins the thread (idempotent). Returns the write
+  /// failure that stopped the writer early, if any.
+  std::exception_ptr close() {
+    if (thread_.joinable()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        done_ = true;
+      }
+      cv_.notify_one();
+      thread_.join();
+    }
+    return failure_;
+  }
+
+ private:
+  void run(std::ostream& out) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      cv_.wait(lock, [&] { return done_ || !pending_.empty(); });
+      if (pending_.empty() && done_) break;
+      while (!pending_.empty()) {
+        std::string reply = std::move(pending_.front());
+        pending_.pop_front();
+        lock.unlock();
+        // After a failed write the rest of the queue is dropped: the
+        // stream is gone, and an exception must not escape the thread.
+        if (failure_ == nullptr) {
+          try {
+            write_frame(out, reply);
+          } catch (...) {
+            failure_ = std::current_exception();
+          }
+        }
+        lock.lock();
+        spare_.push_back(std::move(reply));
+      }
+      if (failure_ == nullptr) out.flush();  // one flush per drained burst
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::string> pending_;
+  std::vector<std::string> spare_;
+  bool done_ = false;
+  std::exception_ptr failure_;  ///< written by the thread, read after join
+  std::thread thread_;          ///< last: starts once the members above exist
+};
+
+}  // namespace
+
 ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession& session,
                               const ServeLoopOptions& options) {
   ServeLoopStats stats;
@@ -229,51 +309,31 @@ ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession&
 
   // Reply pipeline: the pump thread solves, the writer thread frames and
   // flushes, so encoding and I/O overlap the next request's solve. Replies
-  // keep request order (single queue), and drained buffers are recycled so
-  // the steady state allocates nothing.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::string> pending;
-  std::vector<std::string> spare;
-  bool done = false;
-  std::thread writer;
-  if (options.async_replies) {
-    writer = std::thread([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      while (true) {
-        cv.wait(lock, [&] { return done || !pending.empty(); });
-        if (pending.empty() && done) break;
-        while (!pending.empty()) {
-          std::string reply = std::move(pending.front());
-          pending.pop_front();
-          lock.unlock();
-          write_frame(out, reply);
-          lock.lock();
-          spare.push_back(std::move(reply));
-        }
-        out.flush();  // one flush per drained burst
-      }
-    });
-  }
+  // keep request order (single queue).
+  std::optional<ReplyWriter> writer;
+  if (options.async_replies) writer.emplace(out);
   const auto emit = [&](std::string_view reply) {
-    if (!options.async_replies) {
+    if (writer) {
+      writer->push(reply);
+    } else {
       write_frame(out, reply);
-      return;
     }
-    std::lock_guard<std::mutex> lock(mu);
-    std::string slot;
-    if (!spare.empty()) {
-      slot = std::move(spare.back());
-      spare.pop_back();
+  };
+  // A malformed frame (truncated, or a length beyond the protocol cap)
+  // desynchronizes the stream for good: end the session after a final
+  // `err protocol` reply instead of letting the error escape the pump.
+  std::string payload;
+  const auto next_frame = [&]() -> bool {
+    try {
+      return read_frame(in, payload);
+    } catch (const Error& error) {
+      stats.protocol_error = error.what();
+      return false;
     }
-    slot.assign(reply);
-    pending.push_back(std::move(slot));
-    cv.notify_one();
   };
 
-  std::string payload;
   bool open = true;
-  while (open && !session.closed() && read_frame(in, payload)) {
+  while (open && !session.closed() && next_frame()) {
     std::uint64_t batch_frames = 0;
     while (true) {
       const auto start = std::chrono::steady_clock::now();
@@ -288,7 +348,7 @@ ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession&
       // Drain whatever the client already buffered before blocking again —
       // a pipelined burst is solved back-to-back with one wakeup.
       if (in.rdbuf() == nullptr || in.rdbuf()->in_avail() <= 0) break;
-      if (!read_frame(in, payload)) {
+      if (!next_frame()) {
         open = false;
         break;
       }
@@ -296,16 +356,14 @@ ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession&
     ++stats.batches;
     stats.max_batch_frames = std::max(stats.max_batch_frames, batch_frames);
     RETASK_RECORD("serve.batch_frames", batch_frames);
-    if (!options.async_replies) out.flush();
+    if (!writer) out.flush();
+  }
+  if (!stats.protocol_error.empty()) {
+    emit("err protocol " + stats.protocol_error);
   }
 
-  if (options.async_replies) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-    }
-    cv.notify_one();
-    writer.join();
+  if (writer) {
+    if (const std::exception_ptr failure = writer->close()) std::rethrow_exception(failure);
   } else {
     out.flush();
   }

@@ -22,7 +22,9 @@
 // exactly, it does not patch greedily). path says whether the request was
 // served by the incremental table (delta) or forced a full refill (cold).
 // A malformed or rejected request answers `err` and leaves the resident set
-// untouched; the session keeps serving.
+// untouched; the session keeps serving. A malformed *frame* (truncated, or a
+// length prefix beyond the protocol cap) desynchronizes the byte stream, so
+// it ends the session instead, after a final `err protocol <reason>` reply.
 //
 // run_serve_loop pumps frames between two streams: requests are drained in
 // batches (everything already buffered is processed back-to-back before the
@@ -84,6 +86,9 @@ struct ServeLoopStats {
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
   std::uint64_t max_batch_frames = 0;
+  /// Why the session ended on a malformed frame (truncated, or a length
+  /// beyond kMaxFramePayload); empty after a clean end of stream or `bye`.
+  std::string protocol_error;
   std::array<std::uint64_t, 40> latency_ns_log2{};
 
   void record_latency(std::uint64_t ns);
@@ -100,8 +105,11 @@ struct ServeLoopOptions {
   bool async_replies = true;
 };
 
-/// Reads framed requests from `in` until end of stream or a `bye` reply,
-/// answering each through `session` onto `out`. Returns the pump stats.
+/// Reads framed requests from `in` until end of stream, a `bye` reply or a
+/// malformed frame, answering each through `session` onto `out`. A
+/// malformed frame ends the session with a final `err protocol <reason>`
+/// reply and stats.protocol_error set; it is not thrown. Returns the pump
+/// stats. Rethrows a reply write failure once the writer thread is joined.
 ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession& session,
                               const ServeLoopOptions& options = {});
 

@@ -4,6 +4,7 @@
 // ROADMAP's "bit-identical at any job count" claim extends to metrics.
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,6 +146,94 @@ TEST(Metrics, ActiveScopeAttributesAndFoldsIntoParent) {
   }
   EXPECT_EQ(isolated.counter(c), 5u);
   EXPECT_EQ(outer.counter(c), 2u);  // unchanged
+}
+
+// Select-read counter parity, pinned: the per-chunk accessor counts memo
+// hits/misses once per 64-row chunk by popcount, and the select counters
+// once per chunk by the predicted-row popcount. Both must reproduce the
+// per-row totals the row-by-row gather recorded on the same solves — the
+// pinned values were recorded from that gather. Covers the cold exact DP
+// over a hash memo and a dense memo, the lockstep select (union mask) and
+// the serve-mode DeltaSolver (its own dense memo). Under RETASK_OBS=OFF
+// every counter must stay at zero instead.
+#if defined(RETASK_OBS_ENABLED) && RETASK_OBS_ENABLED
+constexpr bool kObsEnabled = true;
+#else
+constexpr bool kObsEnabled = false;
+#endif
+
+struct SelectCounters {
+  std::uint64_t hits, misses, exact_evals, batch_evals, serve_evals;
+  bool operator==(const SelectCounters&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SelectCounters& c) {
+  return os << "hits=" << c.hits << " misses=" << c.misses << " exact=" << c.exact_evals
+            << " batch=" << c.batch_evals << " serve=" << c.serve_evals;
+}
+
+template <class Fn>
+SelectCounters select_counters(Fn&& run) {
+  Registry metrics;
+  {
+    obs::ActiveScope scope(metrics);
+    run();
+  }
+  const auto counter = [&](const char* name) {
+    return metrics.counter(obs::intern_metric(MetricKind::kCounter, name));
+  };
+  return {counter("cache.energy_hits"), counter("cache.energy_misses"),
+          counter("exact_dp.energy_evals"), counter("batch.select_energy_evals"),
+          counter("serve.select_energy_evals")};
+}
+
+TEST(Metrics, SelectReadCountersMatchPerRowTotals) {
+  std::vector<RejectionProblem> fleet;
+  for (std::uint64_t seed = 71; seed < 75; ++seed) {
+    fleet.push_back(test::small_instance(seed, 12, 1.5));
+  }
+  const ExactDpSolver exact;
+  const auto exact_twice = [&](bool dense) {
+    return select_counters([&] {
+      const auto memo = std::make_shared<EnergyMemo>();
+      if (dense) memo->reserve_dense(fleet[0].cycle_capacity());
+      for (int pass = 0; pass < 2; ++pass) {
+        for (RejectionProblem problem : fleet) {
+          problem.attach_energy_memo(memo);
+          exact.solve(problem);
+        }
+      }
+    });
+  };
+  const SelectCounters lockstep = select_counters([&] {
+    const auto memo = std::make_shared<EnergyMemo>();
+    std::vector<RejectionProblem> lanes = fleet;
+    std::vector<const RejectionProblem*> ptrs;
+    for (RejectionProblem& problem : lanes) {
+      problem.attach_energy_memo(memo);
+      ptrs.push_back(&problem);
+    }
+    const BatchRejectionSolver batched(exact, BatchConfig{4});
+    batched.solve_batch(ptrs);
+    batched.solve_batch(ptrs);
+  });
+  const SelectCounters serve = select_counters([&] {
+    DeltaSolver::Config config;
+    config.checkpoint_stride = 4;
+    DeltaSolver delta(fleet[0].curve(), fleet[0].work_per_cycle(), config);
+    for (std::size_t i = 0; i < fleet[0].size(); ++i) delta.admit(fleet[0].tasks()[i]);
+    delta.remove(fleet[0].tasks()[5].id);
+    delta.reprice(fleet[0].tasks()[9].id, 0.5);
+    delta.remove(fleet[0].tasks()[0].id);
+  });
+
+  const auto pinned = [](SelectCounters c) {
+    return kObsEnabled ? c : SelectCounters{0, 0, 0, 0, 0};
+  };
+  EXPECT_EQ(exact_twice(false), pinned({1759, 359, 2110, 0, 0}));
+  EXPECT_EQ(exact_twice(true), pinned({1759, 359, 2110, 0, 0}));
+  EXPECT_EQ(lockstep, pinned({367, 359, 0, 718, 0}));
+  EXPECT_EQ(serve, pinned({1663, 259, 0, 0, 1906}));
 }
 
 #if RETASK_OBS_ENABLED

@@ -1,9 +1,19 @@
 // Serve mode: the length-prefixed frame protocol, the request-line grammar
-// over ServeSession, and the run_serve_loop pump (sync and async reply
-// draining) end-to-end over string streams.
+// over ServeSession, the run_serve_loop pump (sync and async reply
+// draining, malformed-frame shutdown) end-to-end over string streams, and
+// the retask_serve binary's exit status and pipe batching.
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#ifdef __unix__
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -45,7 +55,7 @@ TEST(FrameProtocol, RejectsTruncatedAndOversizeFrames) {
   }
   {
     std::stringstream stream;
-    stream.write("\x05\x00\x00\x00abc", 7);  // header promises 5, carries 3
+    stream.write("\x05\x00\x00\x00" "abc", 7);  // header promises 5, carries 3
     std::string read;
     EXPECT_THROW(read_frame(stream, read), Error);
   }
@@ -153,6 +163,7 @@ void exercise_loop(bool async) {
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_TRUE(session.closed());
+  EXPECT_TRUE(stats.protocol_error.empty());
 
   std::vector<std::string> replies;
   std::string payload;
@@ -167,6 +178,150 @@ void exercise_loop(bool async) {
 
 TEST(ServeLoop, PumpsFramesWithInlineReplies) { exercise_loop(false); }
 TEST(ServeLoop, PumpsFramesWithAsyncWriterThread) { exercise_loop(true); }
+
+std::vector<std::string> read_all_frames(std::istream& in) {
+  std::vector<std::string> frames;
+  std::string payload;
+  while (read_frame(in, payload)) frames.push_back(payload);
+  return frames;
+}
+
+// A malformed frame desynchronizes the stream: the pump must answer a final
+// `err protocol` reply and return, in both reply modes — neither let the
+// error escape (the inline mode) nor unwind past a joinable writer thread
+// (std::terminate in the async mode).
+void exercise_malformed_frame(bool async, const std::string& tail) {
+  std::stringstream in, out;
+  write_frame(in, "admit 1 100 2.5");
+  in << tail;
+  ServeSession session = make_session();
+  ServeLoopOptions options;
+  options.async_replies = async;
+  ServeLoopStats stats;
+  ASSERT_NO_THROW(stats = run_serve_loop(in, out, session, options));
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_FALSE(stats.protocol_error.empty());
+  const std::vector<std::string> replies = read_all_frames(out);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(replies[0].rfind("ok admit id=1 ", 0) == 0) << replies[0];
+  EXPECT_TRUE(replies[1].rfind("err protocol ", 0) == 0) << replies[1];
+}
+
+const std::string kTruncatedPayload("\x05\x00\x00\x00" "ab", 6);
+const std::string kOversizedLength("\xff\xff\xff\xff", 4);
+
+TEST(ServeLoop, TruncatedFrameEndsSessionInline) {
+  exercise_malformed_frame(false, kTruncatedPayload);
+}
+TEST(ServeLoop, TruncatedFrameEndsSessionAsync) {
+  exercise_malformed_frame(true, kTruncatedPayload);
+}
+TEST(ServeLoop, OversizedFrameEndsSessionInline) {
+  exercise_malformed_frame(false, kOversizedLength);
+}
+TEST(ServeLoop, OversizedFrameEndsSessionAsync) {
+  exercise_malformed_frame(true, kOversizedLength);
+}
+TEST(ServeLoop, HalfHeaderEndsSessionAsync) {
+  exercise_malformed_frame(true, std::string("\x05\x00", 2));
+}
+
+TEST(ServeLoop, AsyncWriteFailureIsRethrownAfterTheWriterJoins) {
+  std::stringstream in;
+  write_frame(in, "ping");
+  write_frame(in, "ping");
+  std::ostringstream out;
+  out.setstate(std::ios::badbit);  // every reply write fails
+  ServeSession session = make_session();
+  EXPECT_THROW(run_serve_loop(in, out, session), Error);
+}
+
+#if defined(RETASK_SERVE_BINARY) && defined(__unix__)
+// The daemon binary itself, driven through a shell: exit status, error
+// class and the pipe-mode pump batching.
+struct DaemonRun {
+  int status = -1;
+  std::string out;
+  std::string err;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>());
+}
+
+/// Runs `retask_serve <flags>` on `input`, fed through a pipe (`cat |`)
+/// when `piped`, else redirected from a file.
+DaemonRun run_daemon(const std::string& flags, const std::string& input, bool piped) {
+  const std::string base = ::testing::TempDir() + "retask_serve_" + std::to_string(::getpid());
+  {
+    std::ofstream file(base + ".in", std::ios::binary);
+    file << input;
+  }
+  const std::string daemon = std::string(RETASK_SERVE_BINARY) + " " + flags;
+  const std::string command = (piped ? "cat '" + base + ".in' | " + daemon
+                                     : daemon + " < '" + base + ".in'") +
+                              " > '" + base + ".out' 2> '" + base + ".err'";
+  const int raw = std::system(command.c_str());
+  DaemonRun run;
+  if (WIFEXITED(raw)) run.status = WEXITSTATUS(raw);
+  if (WIFSIGNALED(raw)) run.status = 128 + WTERMSIG(raw);
+  run.out = slurp(base + ".out");
+  run.err = slurp(base + ".err");
+  for (const char* ext : {".in", ".out", ".err"}) std::remove((base + ext).c_str());
+  return run;
+}
+
+std::string frames_of(const std::vector<std::string>& requests) {
+  std::ostringstream out;
+  for (const std::string& request : requests) write_frame(out, request);
+  return out.str();
+}
+
+TEST(ServeDaemon, MalformedFrameExitsWithProtocolStatusNotUsage) {
+  const std::string input = frames_of({"admit 1 100 2.5"}) + kTruncatedPayload;
+  for (const char* flags : {"", "--sync"}) {
+    const DaemonRun run = run_daemon(flags, input, false);
+    EXPECT_EQ(run.status, 3) << flags << ": " << run.err;
+    EXPECT_EQ(run.err.find("usage"), std::string::npos) << flags << ": " << run.err;
+    std::istringstream out(run.out);
+    const std::vector<std::string> replies = read_all_frames(out);
+    ASSERT_EQ(replies.size(), 2u) << flags;
+    EXPECT_TRUE(replies[0].rfind("ok admit id=1 ", 0) == 0) << replies[0];
+    EXPECT_TRUE(replies[1].rfind("err protocol ", 0) == 0) << replies[1];
+  }
+}
+
+TEST(ServeDaemon, BadFlagStillExitsTwoWithUsage) {
+  const DaemonRun run = run_daemon("--model no-such-model", "", false);
+  EXPECT_EQ(run.status, 2);
+  EXPECT_NE(run.err.find("usage"), std::string::npos) << run.err;
+}
+
+TEST(ServeDaemon, PipedBurstIsPumpedInBatchesWithIdenticalReplies) {
+  std::vector<std::string> requests;
+  for (int id = 1; id <= 160; ++id) {
+    requests.push_back("admit " + std::to_string(id) + " " + std::to_string(5 + id % 23) + " " +
+                       std::to_string(0.25 * (id % 7)));
+  }
+  for (int id = 1; id <= 60; ++id) {
+    requests.push_back(id % 3 == 0 ? "query" : "remove " + std::to_string(2 * id));
+  }
+  const std::string input = frames_of(requests);
+  const DaemonRun batched = run_daemon("--stats", input, true);
+  ASSERT_EQ(batched.status, 0) << batched.err;
+  const std::size_t at = batched.err.find("max_batch=");
+  ASSERT_NE(at, std::string::npos) << batched.err;
+  EXPECT_GT(std::stoul(batched.err.substr(at + 10)), 1u) << batched.err;
+
+  // Batching changes when frames are read, never what is answered.
+  const DaemonRun serial = run_daemon("--max-batch 1", input, false);
+  ASSERT_EQ(serial.status, 0) << serial.err;
+  EXPECT_EQ(batched.out, serial.out);
+  std::istringstream out(batched.out);
+  EXPECT_EQ(read_all_frames(out).size(), requests.size());
+}
+#endif
 
 }  // namespace
 }  // namespace retask

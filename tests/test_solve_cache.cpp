@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,6 +23,8 @@
 #include "retask/exp/workload.hpp"
 #include "retask/io/cli_options.hpp"
 #include "retask/obs/metrics.hpp"
+#include "retask/power/polynomial_power.hpp"
+#include "retask/serve/delta_solver.hpp"
 #include "test_util.hpp"
 
 namespace retask {
@@ -195,6 +199,101 @@ TEST(EnergyMemoTest, SharedAcrossWorkersReturnsColdValues) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i % expected.size()]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The chunk accessor (EnergyMemo::chunk through RejectionProblem::
+// energy_chunk): dense, hash and memo-free reads of one 64-row chunk hand
+// back exactly the bits of one-at-a-time evaluation, including chunks that
+// straddle the dense width, and a pointer taken before the dense row grows
+// is never needed again — each chunk read re-acquires it.
+
+enum class MemoMode { kNone, kHash, kDense };
+
+/// xscale platform whose cycle capacity (256) covers every row read below.
+RejectionProblem chunk_problem(MemoMode mode, Cycles dense_capacity) {
+  const EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+  RejectionProblem problem(FrameTaskSet({{0, 10, 1.0}}), curve, curve.max_workload() / 256.0, 1);
+  if (mode != MemoMode::kNone) {
+    auto memo = std::make_shared<EnergyMemo>();
+    if (mode == MemoMode::kDense) memo->reserve_dense(dense_capacity);
+    problem.attach_energy_memo(std::move(memo));
+  }
+  return problem;
+}
+
+void expect_chunk_bits(const RejectionProblem& problem, const RejectionProblem& cold,
+                       std::size_t w0, std::uint64_t mask, const char* where) {
+  double scratch[64] = {0.0};
+  const double* energy = problem.energy_chunk(w0, mask, scratch);
+  double sum = 0.0;  // every slot is readable (sanitizer builds check it)
+  for (std::size_t b = 0; b < 64; ++b) sum += energy[b];
+  EXPECT_FALSE(std::isnan(sum)) << where;
+  for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+    const auto b = static_cast<std::size_t>(__builtin_ctzll(bits));
+    const double want = cold.energy_of_cycles(static_cast<Cycles>(w0 + b));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(energy[b]), std::bit_cast<std::uint64_t>(want))
+        << where << " w0=" << w0 << " row=" << b;
+  }
+}
+
+TEST(EnergyChunk, DenseHashAndMemoFreeReadsMatchColdBits) {
+  const RejectionProblem cold = chunk_problem(MemoMode::kNone, 0);
+  const std::uint64_t masks[] = {std::uint64_t{1}, std::uint64_t{1} << 63, ~std::uint64_t{0},
+                                 0x00f0'0000'0000'0f0full};
+  for (const Cycles capacity : {63, 64, 65}) {
+    for (const MemoMode mode : {MemoMode::kNone, MemoMode::kHash, MemoMode::kDense}) {
+      const RejectionProblem problem = chunk_problem(mode, capacity);
+      // Two passes: the first records misses, the second replays hits.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const std::size_t w0 : {0u, 64u, 128u}) {
+          for (const std::uint64_t mask : masks) {
+            expect_chunk_bits(problem, cold, w0, mask, "chunk read");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EnergyChunk, PointerIsReacquiredWhenTheDenseRowGrows) {
+  const RejectionProblem cold = chunk_problem(MemoMode::kNone, 0);
+  const RejectionProblem problem = chunk_problem(MemoMode::kDense, 100);
+  const std::uint64_t low = (std::uint64_t{1} << 36) - 1;  // rows 64..99
+  expect_chunk_bits(problem, cold, 64, low, "before growth");
+  // Growing the reservation reallocates the dense row on the next read.
+  problem.energy_memo()->reserve_dense(250);
+  expect_chunk_bits(problem, cold, 128, ~std::uint64_t{0}, "grown row");
+  expect_chunk_bits(problem, cold, 64, ~std::uint64_t{0}, "rows kept across growth");
+  expect_chunk_bits(problem, cold, 0, ~std::uint64_t{0}, "first chunk after growth");
+}
+
+TEST(EnergyChunk, DeltaSolverBeyondTheDenseLimitMatchesColdSolves) {
+  // A capacity whose row exceeds EnergyMemo::kDenseLimit: the solver's
+  // reserve_dense request is ignored and its select gathers through the
+  // hash path — the answers must not change.
+  const auto capacity = static_cast<double>(EnergyMemo::kDenseLimit + 1000);
+  const EnergyCurve curve(PolynomialPowerModel::xscale(), 1.0, IdleDiscipline::kDormantEnable);
+  DeltaSolver delta(curve, curve.max_workload() / capacity);
+  ASSERT_GE(static_cast<std::size_t>(delta.cycle_capacity()), EnergyMemo::kDenseLimit);
+  const auto expect_cold = [&](const char* where) {
+    const RejectionSolution cold = ExactDpSolver().solve(delta.make_problem());
+    EXPECT_EQ(delta.solution().accepted, cold.accepted) << where;
+    EXPECT_EQ(delta.solution().energy, cold.energy) << where;
+    EXPECT_EQ(delta.solution().penalty, cold.penalty) << where;
+  };
+  const Cycles unit = delta.cycle_capacity() / 5;
+  const std::vector<FrameTask> tasks = {{1, 2 * unit, 0.9},     {2, unit + 17, 0.3},
+                                        {3, 3 * unit + 5, 1.4}, {4, unit / 2, 0.05},
+                                        {5, 2 * unit - 3, 0.7}};
+  for (const FrameTask& task : tasks) {
+    delta.admit(task);
+    expect_cold("admit");
+  }
+  delta.reprice(2, 2.5);
+  expect_cold("reprice");
+  delta.remove(3);
+  expect_cold("remove");
 }
 
 // ---------------------------------------------------------------------------

@@ -85,7 +85,14 @@ framing helpers (exclusive; translate text <-> frames for pipelines):
 
 requests (one per frame): admit <id> <cycles> <penalty> | remove <id> |
 reprice <id> <penalty> | query | stats | ping | bye
+
+exit status: 0 session ended (end of input or bye); 1 runtime failure;
+2 bad flags; 3 malformed frame (truncated, or longer than the protocol
+cap) — the last reply is `err protocol <reason>`
 )";
+
+/// Exit status of a pipe session that ended on a malformed frame.
+constexpr int kExitProtocolError = 3;
 
 double parse_double_flag(const std::string& flag, const std::string& value, double lo, double hi) {
   double parsed = 0.0;
@@ -124,6 +131,7 @@ ServeCliOptions parse_args(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--model") {
       options.model = value_of(i, arg);
+      make_model_by_name(options.model);  // an unknown name is a flag error
     } else if (arg == "--idle") {
       const std::string value = value_of(i, arg);
       if (value == "enable") options.idle = IdleDiscipline::kDormantEnable;
@@ -207,8 +215,14 @@ int run_pipe(const ServeCliOptions& options) {
   ServeLoopOptions loop;
   loop.max_batch = options.max_batch;
   loop.async_replies = !options.sync_replies;
+  // Reads must not flush std::cout: the writer thread owns it.
+  std::cin.tie(nullptr);
   const ServeLoopStats stats = run_serve_loop(std::cin, std::cout, session, loop);
   if (options.print_stats) print_stats(stats);
+  if (!stats.protocol_error.empty()) {
+    std::cerr << "retask_serve: protocol error: " << stats.protocol_error << "\n";
+    return kExitProtocolError;
+  }
   return 0;
 }
 
@@ -243,6 +257,10 @@ int run_socket(const ServeCliOptions& options) {
     loop.async_replies = false;  // socket replies flush inline per batch
     const ServeLoopStats stats = run_serve_loop(in, out, session, loop);
     if (options.print_stats) print_stats(stats);
+    if (!stats.protocol_error.empty()) {
+      // Ends this connection only; the daemon keeps accepting clients.
+      std::cerr << "serve: client dropped: " << stats.protocol_error << "\n";
+    }
     if (session.closed()) break;
   }
   ::close(listener);
@@ -254,8 +272,18 @@ int run_socket(const ServeCliOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Before any I/O: unsynced streams buffer stdin in the stream itself, so
+  // the pump's in_avail() sees frames a client already wrote and solves
+  // them as one batch (a stdio-synced std::cin always reports 0).
+  std::ios::sync_with_stdio(false);
+  ServeCliOptions options;
   try {
-    const ServeCliOptions options = parse_args(argc, argv);
+    options = parse_args(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "retask_serve: " << error.what() << "\n" << kUsage;
+    return 2;
+  }
+  try {
     if (options.help) {
       std::cout << kUsage;
       return 0;
@@ -271,11 +299,8 @@ int main(int argc, char** argv) {
 #endif
     }
     return run_pipe(options);
-  } catch (const retask::Error& error) {
-    std::cerr << "retask_serve: " << error.what() << "\n" << kUsage;
-    return 2;
   } catch (const std::exception& error) {
     std::cerr << "retask_serve: " << error.what() << "\n";
-    return 2;
+    return 1;
   }
 }
