@@ -46,6 +46,16 @@ void EnergyMemo::reserve_dense(Cycles max_cycles) {
   }
 }
 
+void EnergyMemo::attach_row(std::shared_ptr<EnergyRow> row) {
+  if (row != nullptr && row->width() > 0) reserve_dense(static_cast<Cycles>(row->width()) - 1);
+  row_ = std::move(row);
+}
+
+std::shared_ptr<EnergyRow> EnergyMemo::make_row(Cycles max_cycles) {
+  if (max_cycles < 0 || static_cast<std::size_t>(max_cycles) >= kDenseLimit) return nullptr;
+  return std::make_shared<EnergyRow>(static_cast<std::size_t>(max_cycles) + 1);
+}
+
 void EnergyMemo::ensure_dense(Shard& shard, std::size_t width) {
   if (shard.dense.size() >= width) return;
   shard.dense.resize((width + 63) / 64 * 64, 0.0);

@@ -6,7 +6,7 @@
 // same cycle counts thousands of times: the DP objective sweep, the FPTAS
 // guess rounds, the marginal greedy's flip loop, the exhaustive mask loop
 // and the harness's reference solve all revisit overlapping loads. The memo
-// turns those repeats into hash lookups while keeping two hard guarantees:
+// turns those repeats into lookups while keeping two hard guarantees:
 //
 //  * Bit-identity. E(W) is a pure function of (curve, work_per_cycle,
 //    cycles); the memo only ever returns a value the cold path computed, so
@@ -15,14 +15,22 @@
 //    whole sweep's cells attach the same memo when their curves are
 //    identical — see exp/harness.hpp). Each thread owns a private shard
 //    selected by a stable per-thread slot, so recording never takes a lock
-//    and never races: a thread only reads and writes its own shard. Threads
-//    therefore do not see each other's entries — sharing across threads
-//    trades perfect reuse for zero synchronization, which is the right
-//    trade when each shard converges to the same hot working set anyway.
+//    and never races: a thread only reads and writes its own shard, and
+//    hit/miss accounting is per shard, so it does not depend on how threads
+//    interleave.
 //
-// Sharing contract: attach one memo only to problems with identical
-// (EnergyCurve, work_per_cycle). The memo cannot verify this; the attach
-// sites in exp/harness and the benches are the audited callers.
+// Cross-thread reuse lives one layer up, in an optional EnergyRow
+// (cache/energy_row.hpp, attach_row): a shard miss inside the row's width
+// is filled from the row instead of the energy kernel, and the row computes
+// each E(w) at most once across all threads through a write-once claim /
+// publish protocol. The miss still counts as a miss in the shard and the
+// value is copied into the shard's private storage, so accounting and the
+// chunk() pointer contract are exactly those of a memo without a row;
+// threads see each other's work only as values the row already holds.
+//
+// Sharing contract: attach one memo (and one row) only to problems with
+// identical (EnergyCurve, work_per_cycle). Neither can verify this; the
+// attach sites in exp/harness and the benches are the audited callers.
 #ifndef RETASK_CACHE_ENERGY_MEMO_HPP
 #define RETASK_CACHE_ENERGY_MEMO_HPP
 
@@ -30,9 +38,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "retask/cache/energy_row.hpp"
 #include "retask/task/task.hpp"
 
 namespace retask {
@@ -58,6 +68,17 @@ class EnergyMemo {
   /// the hash path; the bound may grow monotonically across calls.
   void reserve_dense(Cycles max_cycles);
 
+  /// Fills shard misses for cycles below `row`'s width through `row`, and
+  /// reserves the dense range up to that width (a row is only attached
+  /// where it is dense enough to pay). Call before the memo is used; a null
+  /// row detaches. Counters and returned bits are unchanged by the row —
+  /// only who computes a missing value is.
+  void attach_row(std::shared_ptr<EnergyRow> row);
+
+  /// A row for cycles [0, max_cycles] to attach_row, or null where the
+  /// dense range would not be taken (max_cycles < 0 or past kDenseLimit).
+  static std::shared_ptr<EnergyRow> make_row(Cycles max_cycles);
+
   /// Returns the memoized energy for `cycles`, calling `compute(cycles)` on
   /// a miss and recording the result in the calling thread's shard. Safe to
   /// call concurrently from any number of threads; obs counters
@@ -73,7 +94,8 @@ class EnergyMemo {
       return energy;
     }
     count(0, 1);
-    energy = compute(cycles);
+    energy = row_ != nullptr && in_dense(row_->width(), cycles) ? from_row(cycles, compute)
+                                                                : compute(cycles);
     store(*shard, width, cycles, energy);
     return energy;
   }
@@ -91,6 +113,10 @@ class EnergyMemo {
   ///  * Otherwise (hash path, a chunk straddling the dense width, or shard
   ///    slots exhausted): hits and computed misses are gathered into the
   ///    caller's 64-slot `scratch`, which is returned.
+  ///
+  /// Missing rows inside an attached row's width (both paths) are copied
+  /// from the row, which computes the ones no thread has yet; the pointer
+  /// never aims into the shared row itself.
   ///
   /// `batch` must be bit-identical to one-at-a-time evaluation (the
   /// curve's fused energy_cycles_batch kernel is). Hits and misses are
@@ -118,7 +144,7 @@ class EnergyMemo {
       count(popcount(mask & valid), popcount(missing));
       double* row = shard->dense.data() + w0;
       if (missing != 0) {
-        fill_chunk(w0, missing, row, batch);
+        fill_missing(w0, missing, row, batch);
         valid |= missing;
       }
       return row;
@@ -132,7 +158,7 @@ class EnergyMemo {
     }
     count(popcount(mask & ~missing), popcount(missing));
     if (missing != 0) {
-      fill_chunk(w0, missing, scratch, batch);
+      fill_missing(w0, missing, scratch, batch);
       for (std::uint64_t bits = missing; bits != 0; bits &= bits - 1) {
         const int bit = __builtin_ctzll(bits);
         store(*shard, width, static_cast<Cycles>(w0) + bit, scratch[bit]);
@@ -193,6 +219,32 @@ class EnergyMemo {
   static constexpr std::size_t kMaxShards = 256;
 
   Shard* local_shard();
+  /// get_or_compute's miss through the attached row; out of line so the
+  /// hit path stays small enough to inline into the solvers' loops.
+  template <typename Fn>
+  [[gnu::noinline]] double from_row(Cycles cycles, const Fn& compute) {
+    const auto w = static_cast<std::size_t>(cycles);
+    double slots[64];
+    row_->fill(w & ~std::size_t{63}, std::uint64_t{1} << (w & 63), slots,
+               [&](const Cycles* c, double* out, std::size_t n) {
+                 for (std::size_t i = 0; i < n; ++i) out[i] = compute(c[i]);
+               });
+    return slots[w & 63];
+  }
+  /// Evaluates the missing rows `bits` of chunk w0 into dst: through the
+  /// attached row where it covers them, the energy kernel beyond. Out of
+  /// line (a miss costs an energy evaluation anyway) so chunk()'s inlined
+  /// hit path stays as small as the select loops need.
+  template <typename BatchFn>
+  [[gnu::noinline]] void fill_missing(std::size_t w0, std::uint64_t bits, double* dst,
+                                      const BatchFn& batch) {
+    if (row_ != nullptr) {
+      const std::uint64_t shared = row_->inside(w0, bits);
+      if (shared != 0) row_->fill(w0, shared, dst, batch);
+      bits &= ~shared;
+    }
+    if (bits != 0) fill_chunk(w0, bits, dst, batch);
+  }
   /// Grows the calling thread's shard-local dense arrays to `width`, the
   /// value row rounded up to whole 64-row chunks so chunk() can hand out
   /// 64 readable slots at any chunk below the width (the shard is
@@ -238,6 +290,8 @@ class EnergyMemo {
   std::array<std::atomic<Shard*>, kMaxShards> shards_{};
   /// Dense-range width (max_cycles + 1); 0 = hash-only. Monotonic.
   std::atomic<std::size_t> dense_width_{0};
+  /// Upstream cross-thread row (attach_row); null = none.
+  std::shared_ptr<EnergyRow> row_;
 };
 
 }  // namespace retask

@@ -24,38 +24,6 @@ double clamp(double x, double lo, double hi) {
   return std::min(std::max(x, lo), hi);
 }
 
-double minimize_unimodal(const std::function<double(double)>& f, double lo, double hi,
-                         double x_tol, int max_iter) {
-  require(lo <= hi, "minimize_unimodal: lo must not exceed hi");
-  if (hi - lo <= x_tol) return 0.5 * (lo + hi);
-
-  // Golden-section search keeps one interior evaluation per step.
-  constexpr double kInvPhi = 0.6180339887498949;  // 1/phi
-  double a = lo;
-  double b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  for (int it = 0; it < max_iter && (b - a) > x_tol * std::max(1.0, std::fabs(a) + std::fabs(b));
-       ++it) {
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  return 0.5 * (a + b);
-}
-
 std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
   std::int64_t out = 0;
   require(!__builtin_mul_overflow(a, b, &out), "checked_mul: 64-bit overflow");

@@ -7,8 +7,11 @@
 #ifndef RETASK_COMMON_MATH_HPP
 #define RETASK_COMMON_MATH_HPP
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <functional>
+
+#include "retask/common/error.hpp"
 
 namespace retask {
 
@@ -29,9 +32,41 @@ double clamp(double x, double lo, double hi);
 
 /// Minimizes a strictly unimodal (e.g. convex) function `f` over `[lo, hi]`
 /// by golden-section search until the bracket is below `x_tol` wide.
-/// Returns the abscissa of the minimum; requires `lo <= hi`.
-double minimize_unimodal(const std::function<double(double)>& f, double lo, double hi,
-                         double x_tol = 1e-12, int max_iter = 200);
+/// Returns the abscissa of the minimum; requires `lo <= hi`. A template so
+/// that every continuous energy evaluation (two searches per E(w) miss)
+/// calls its objective inline instead of through a std::function.
+template <typename F>
+double minimize_unimodal(const F& f, double lo, double hi, double x_tol = 1e-12,
+                         int max_iter = 200) {
+  require(lo <= hi, "minimize_unimodal: lo must not exceed hi");
+  if (hi - lo <= x_tol) return 0.5 * (lo + hi);
+
+  // Golden-section search keeps one interior evaluation per step.
+  constexpr double kInvPhi = 0.6180339887498949;  // 1/phi
+  double a = lo;
+  double b = hi;
+  double x1 = b - kInvPhi * (b - a);
+  double x2 = a + kInvPhi * (b - a);
+  double f1 = f(x1);
+  double f2 = f(x2);
+  for (int it = 0; it < max_iter && (b - a) > x_tol * std::max(1.0, std::fabs(a) + std::fabs(b));
+       ++it) {
+    if (f1 <= f2) {
+      b = x2;
+      x2 = x1;
+      f2 = f1;
+      x1 = b - kInvPhi * (b - a);
+      f1 = f(x1);
+    } else {
+      a = x1;
+      x1 = x2;
+      f1 = f2;
+      x2 = a + kInvPhi * (b - a);
+      f2 = f(x2);
+    }
+  }
+  return 0.5 * (a + b);
+}
 
 /// Least common multiple with overflow detection (throws retask::Error).
 /// Arguments must be positive.

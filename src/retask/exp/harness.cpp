@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "retask/batch/lockstep.hpp"
+#include "retask/cache/energy_row.hpp"
 #include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/math.hpp"
@@ -69,6 +70,32 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
       options.lockstep ? static_cast<std::size_t>(std::max(1, lockstep_lanes())) : 1;
   const std::size_t blocks = (reps + lanes - 1) / lanes;
 
+  // One energy row per sweep point, shared by every block and worker: each
+  // E(w) of the point is computed once for the whole grid instead of once
+  // per block (cache/energy_row.hpp). The row serves the per-point memos
+  // whose platform matches the point's first instance (`row_refs`); counts
+  // and bits stay per block either way. A caller-supplied memo spans one
+  // platform by contract, so it gets one row for the call.
+  std::vector<RejectionProblem> row_refs;
+  std::vector<std::shared_ptr<EnergyRow>> rows(points);
+  if (options.shared_energy_memo != nullptr) {
+    options.shared_energy_memo->attach_row(
+        EnergyMemo::make_row(factories.front()(seed0).cycle_capacity()));
+  } else if (options.cell_energy_memo) {
+    row_refs.reserve(points);
+    for (std::size_t point = 0; point < points; ++point) {
+      row_refs.push_back(factories[point](seed0));
+      rows[point] = EnergyMemo::make_row(row_refs.back().cycle_capacity());
+    }
+  }
+  const auto make_memo = [&](std::size_t point, const RejectionProblem& cell) {
+    auto memo = std::make_shared<EnergyMemo>();
+    if (rows[point] != nullptr && same_platforms(row_refs[point], cell)) {
+      memo->attach_row(rows[point]);
+    }
+    return memo;
+  };
+
   parallel_for(blocks, [&](std::size_t b) {
     const std::size_t k_lo = b * lanes;
     const std::size_t block = std::min(reps, k_lo + lanes) - k_lo;
@@ -95,9 +122,9 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
           cell.attach_energy_memo(options.shared_energy_memo);
         } else if (options.cell_energy_memo) {
           if (point_memos[point] != nullptr && !same_platforms(problems[0][point], cell)) {
-            cell.attach_energy_memo(std::make_shared<EnergyMemo>());
+            cell.attach_energy_memo(make_memo(point, cell));
           } else {
-            if (point_memos[point] == nullptr) point_memos[point] = std::make_shared<EnergyMemo>();
+            if (point_memos[point] == nullptr) point_memos[point] = make_memo(point, cell);
             cell.attach_energy_memo(point_memos[point]);
           }
         }
@@ -241,6 +268,7 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
       }
     }
   }, jobs);
+  if (options.shared_energy_memo != nullptr) options.shared_energy_memo->attach_row(nullptr);
 
   std::vector<std::vector<AlgoStats>> stats(points, std::vector<AlgoStats>(algos));
   for (std::size_t point = 0; point < points; ++point) {

@@ -74,11 +74,23 @@ struct BatchOptions {
   /// algorithms solving a cell share its memo by reference. A factory whose
   /// platform varies with the seed fails the same_platforms guard and gets
   /// a private per-cell memo instead (bit-identical either way).
+  ///
+  /// Above the block memos sits one EnergyRow per sweep point, grid-wide:
+  /// built before the parallel region for the point's seed0 instance and
+  /// sized to its cycle_capacity() + 1 (not built past
+  /// EnergyMemo::kDenseLimit). Every memo whose cell passes same_platforms
+  /// against that instance attaches it, so each E(w) of the point is
+  /// computed once across all blocks and workers instead of once per block.
+  /// Hit/miss counters stay per block and jobs-invariant; the row adds one
+  /// (W + 1)-double array per point, freed when the call returns.
   bool cell_energy_memo = true;
   /// Caller-supplied memo attached to EVERY problem of the grid instead of
   /// per-cell memos. The caller asserts all factories produce problems with
   /// one identical (EnergyCurve, work_per_cycle) pair — see
   /// RejectionProblem::attach_energy_memo. Leave null to use per-cell memos.
+  /// For the duration of the call the harness attaches one grid-wide
+  /// EnergyRow to it (EnergyMemo::attach_row) and detaches it on return;
+  /// the memo's dense range stays reserved.
   std::shared_ptr<EnergyMemo> shared_energy_memo;
   /// Solve instances that do NOT take the sweep-reuse path through the
   /// lockstep batch solver (batch/lockstep.hpp): the replication axis is

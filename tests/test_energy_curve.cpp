@@ -3,7 +3,10 @@
 // parameterized property sweeps (convexity, monotonicity) across models.
 #include "retask/power/energy_curve.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -276,6 +279,55 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return label;
     });
+
+// Bit-pinned continuous energies: every continuous E(w) runs two
+// golden-section searches through minimize_unimodal, and the memo, the
+// energy rows and every exactness fuzz mode assume those bits never move.
+// Hex patterns recorded before minimize_unimodal took its objective as a
+// template parameter instead of a std::function.
+struct PinnedCurve {
+  const char* label;
+  PolynomialPowerModel model;
+  IdleDiscipline idle;
+  SleepParams sleep;
+  std::array<std::uint64_t, 8> energy;  ///< E(f * max_workload) for kPinnedLoads
+};
+
+constexpr std::array<double, 8> kPinnedLoads = {0.02, 0.1, 0.23, 0.37, 0.5, 0.66, 0.81, 0.97};
+
+TEST(EnergyCurve, ContinuousEnergiesKeepTheirPinnedBits) {
+  const PinnedCurve curves[] = {
+      {"xscale enable", PolynomialPowerModel::xscale(), IdleDiscipline::kDormantEnable, {},
+       {0x3f80865814e7ca4dull, 0x3fa4a7ee1a21bce1ull, 0x3fb7c11e9e0d32d0ull,
+        0x3fc418550b7533fbull, 0x3fd147ae147af62eull, 0x3fe08b36d55446e7ull,
+        0x3fec68c73ec39463ull, 0x3ff779e8b9bd7aa8ull}},
+      {"xscale disable", PolynomialPowerModel::xscale(), IdleDiscipline::kDormantDisable, {},
+       {0x3fb47bad4a7b7969ull, 0x3fb4de7ea5f84f97ull, 0x3fb936e46da86469ull,
+        0x3fc418550b753fb6ull, 0x3fd147ae147afbc1ull, 0x3fe08b36d554493aull,
+        0x3fec68c73ec39728ull, 0x3ff779e8b9bd7be8ull}},
+      {"cubic enable", PolynomialPowerModel::cubic(), IdleDiscipline::kDormantEnable, {},
+       {0x3ee0c6f7a0b89933ull, 0x3f50624dd2f2249dull, 0x3f88eb0318b9a4a9ull,
+        0x3fa9ef30a4e3b521ull, 0x3fc00000000022d6ull, 0x3fd266559f6ee716ull,
+        0x3fe101908e5841c3ull, 0x3fed349e01de5faaull}},
+      {"cubic disable", PolynomialPowerModel::cubic(), IdleDiscipline::kDormantDisable, {},
+       {0x3ee0c6f7a0b89933ull, 0x3f50624dd2f2249dull, 0x3f88eb0318b9a4a9ull,
+        0x3fa9ef30a4e3b521ull, 0x3fc00000000022d6ull, 0x3fd266559f6ee716ull,
+        0x3fe101908e5841c3ull, 0x3fed349e01de5faaull}},
+      {"xscale enable, sleep overheads", PolynomialPowerModel::xscale(),
+       IdleDiscipline::kDormantEnable, {0.02, 0.05},
+       {0x3fadbb2f9ed38c2dull, 0x3fb4de7ea5f84f97ull, 0x3fb936e46da86469ull,
+        0x3fc418550b753fb6ull, 0x3fd147ae147afbc1ull, 0x3fe08b36d554493aull,
+        0x3fec68c73ec39728ull, 0x3ff779e8b9bd7be8ull}},
+  };
+  for (const PinnedCurve& pin : curves) {
+    const EnergyCurve curve(pin.model, 1.0, pin.idle, pin.sleep);
+    for (std::size_t i = 0; i < kPinnedLoads.size(); ++i) {
+      const double energy = curve.energy(kPinnedLoads[i] * curve.max_workload());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(energy), pin.energy[i])
+          << pin.label << " load fraction " << kPinnedLoads[i];
+    }
+  }
+}
 
 }  // namespace
 }  // namespace retask

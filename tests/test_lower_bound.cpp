@@ -3,6 +3,9 @@
 // behaviour.
 #include "retask/core/lower_bound.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "retask/core/exact_dp.hpp"
@@ -135,6 +138,22 @@ TEST(LowerBound, IncreasesWithPenaltyScale) {
   const RejectionProblem cheap = test::small_instance(9, 10, 2.0, 0.3);
   const RejectionProblem dear = test::small_instance(9, 10, 2.0, 3.0);
   EXPECT_LT(fractional_lower_bound(cheap), fractional_lower_bound(dear));
+}
+
+// Bit-pinned bounds: fractional_lower_bound minimizes its relaxation with
+// minimize_unimodal over convex_floor, and these hex patterns were recorded
+// before the minimizer took its objective as a template parameter.
+TEST(LowerBound, FractionalBoundKeepsItsPinnedBits) {
+  const RejectionProblem instances[] = {
+      test::small_instance(1, 10, 1.4),
+      test::small_instance(2, 12, 2.0, 1.0, /*processors=*/2),
+      test::small_instance(3, 9, 0.8, 0.5, 1, IdleDiscipline::kDormantDisable)};
+  const std::uint64_t pinned[] = {0x3fe6dc6e1745e7f9ull, 0x3ff2561ad49efa23ull,
+                                  0x3fce8fffe509bfceull};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fractional_lower_bound(instances[i])), pinned[i])
+        << "instance " << i;
+  }
 }
 
 }  // namespace

@@ -1,18 +1,26 @@
 // Serve mode: the length-prefixed frame protocol, the request-line grammar
 // over ServeSession, the run_serve_loop pump (sync and async reply
 // draining, malformed-frame shutdown) end-to-end over string streams, and
-// the retask_serve binary's exit status and pipe batching.
+// the retask_serve binary's exit status, pipe batching and socket-client
+// isolation.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifdef __unix__
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include <csignal>
 #endif
 
 #include <gtest/gtest.h>
@@ -320,6 +328,111 @@ TEST(ServeDaemon, PipedBurstIsPumpedInBatchesWithIdenticalReplies) {
   EXPECT_EQ(batched.out, serial.out);
   std::istringstream out(batched.out);
   EXPECT_EQ(read_all_frames(out).size(), requests.size());
+}
+
+/// Connects to the daemon's socket, retrying while it starts up; -1 once
+/// `seconds` pass without a listener.
+int connect_client(const std::string& path, double seconds) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0) return fd;
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return -1;
+}
+
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + done, bytes.size() - done, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads one reply frame from `fd` (empty on EOF, error or timeout).
+std::string read_reply(int fd) {
+  const auto read_exact = [fd](char* dst, std::size_t size) {
+    std::size_t done = 0;
+    while (done < size) {
+      const ssize_t n = ::read(fd, dst + done, size - done);
+      if (n <= 0) return false;
+      done += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  unsigned char header[4];
+  if (!read_exact(reinterpret_cast<char*>(header), 4)) return {};
+  const std::size_t length = header[0] | (header[1] << 8) | (header[2] << 16) |
+                             (static_cast<std::size_t>(header[3]) << 24);
+  if (length > 4096) return {};
+  std::string payload(length, '\0');
+  if (!read_exact(payload.data(), length)) return {};
+  return payload;
+}
+
+TEST(ServeDaemon, SocketClientThatVanishesDoesNotStopTheDaemon) {
+  const std::string base = ::testing::TempDir() + "retask_sock_" + std::to_string(::getpid());
+  const std::string path = base + ".sock";
+  const std::string err_path = base + ".err";
+  const pid_t daemon = ::fork();
+  ASSERT_GE(daemon, 0);
+  if (daemon == 0) {
+    std::FILE* err = std::freopen(err_path.c_str(), "w", stderr);
+    (void)err;
+    ::execl(RETASK_SERVE_BINARY, RETASK_SERVE_BINARY, "--socket", path.c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+
+  // Client 1 pipelines a burst and closes without reading a reply, so the
+  // daemon's reply writes hit a closed socket.
+  const int first = connect_client(path, 10.0);
+  EXPECT_GE(first, 0);
+  if (first >= 0) {
+    std::vector<std::string> burst;
+    for (int id = 1; id <= 400; ++id) {
+      burst.push_back("admit " + std::to_string(id) + " " + std::to_string(3 + id % 11) + " 0.5");
+    }
+    EXPECT_TRUE(write_all(first, frames_of(burst)));
+    ::close(first);
+  }
+
+  // Client 2 is still served.
+  const int second = connect_client(path, 10.0);
+  std::string reply;
+  if (second >= 0) {
+    timeval timeout{10, 0};
+    ::setsockopt(second, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    EXPECT_TRUE(write_all(second, frames_of({"ping", "bye"})));
+    reply = read_reply(second);
+    ::close(second);
+  }
+  EXPECT_EQ(reply, "ok ping");
+
+  // `bye` shuts the daemon down; reap it (or kill it if it hangs).
+  int status = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (::waitpid(daemon, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(daemon, SIGKILL);
+      ::waitpid(daemon, &status, 0);
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const std::string err = slurp(err_path);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status << ": " << err;
+  EXPECT_NE(err.find("serve: client dropped: "), std::string::npos) << err;
+  std::remove(err_path.c_str());
+  std::remove(path.c_str());
 }
 #endif
 

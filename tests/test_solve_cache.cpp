@@ -5,16 +5,23 @@
 // non-decreasing function of the accepted load).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <utility>
 #include <vector>
 
+#include "retask/batch/lockstep.hpp"
 #include "retask/cache/energy_memo.hpp"
+#include "retask/cache/energy_row.hpp"
 #include "retask/cache/sweep.hpp"
+#include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
+#include "retask/common/rng.hpp"
 #include "retask/core/algorithm_registry.hpp"
 #include "retask/core/budgeted.hpp"
 #include "retask/core/exact_dp.hpp"
@@ -297,6 +304,142 @@ TEST(EnergyChunk, DeltaSolverBeyondTheDenseLimitMatchesColdSolves) {
 }
 
 // ---------------------------------------------------------------------------
+// EnergyRow: the grid-wide row computes each E(w) once across threads,
+// hands back cold bits, survives a throwing batch, and — attached under a
+// memo — leaves the memo's hit/miss accounting exactly as it was.
+
+/// Cold energies of rows [0, width) of chunk_problem's platform.
+std::vector<double> cold_row(std::size_t width) {
+  const RejectionProblem cold = chunk_problem(MemoMode::kNone, 0);
+  std::vector<double> energy(width);
+  for (std::size_t w = 0; w < width; ++w) energy[w] = cold.energy_of_cycles(static_cast<Cycles>(w));
+  return energy;
+}
+
+TEST(EnergyRowTest, ConcurrentOverlappingReadsComputeEachRowOnce) {
+  const RejectionProblem cold = chunk_problem(MemoMode::kNone, 0);
+  const std::size_t width = static_cast<std::size_t>(cold.cycle_capacity()) + 1;  // 257
+  const std::vector<double> expected = cold_row(width);
+  EnergyRow row(width);
+  std::vector<std::atomic<int>> computed(width);
+  const auto batch = [&](const Cycles* cycles, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      computed[static_cast<std::size_t>(cycles[i])].fetch_add(1, std::memory_order_relaxed);
+      out[i] = cold.energy_of_cycles(cycles[i]);
+    }
+  };
+  constexpr std::size_t kThreads = 8;
+  constexpr int kReads = 200;
+  std::vector<std::vector<char>> read(kThreads, std::vector<char>(width, 0));
+  std::atomic<int> mismatches{0};
+  parallel_for(
+      kThreads,
+      [&](std::size_t t) {
+        Rng rng(1000 + t);
+        for (int r = 0; r < kReads; ++r) {
+          const std::size_t w0 = 64 * static_cast<std::size_t>(rng.uniform_int(0, 4));
+          const std::uint64_t mask = row.inside(w0, rng() & rng());
+          double dst[64];
+          row.fill(w0, mask, dst, batch);
+          for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+            const std::size_t w = w0 + static_cast<std::size_t>(__builtin_ctzll(bits));
+            read[t][w] = 1;
+            if (std::bit_cast<std::uint64_t>(dst[w - w0]) !=
+                std::bit_cast<std::uint64_t>(expected[w])) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      },
+      /*jobs=*/static_cast<int>(kThreads));
+  EXPECT_EQ(mismatches.load(), 0);
+  std::size_t distinct = 0;
+  for (std::size_t w = 0; w < width; ++w) {
+    bool any = false;
+    for (std::size_t t = 0; t < kThreads; ++t) any = any || read[t][w] != 0;
+    distinct += any ? 1 : 0;
+    EXPECT_EQ(computed[w].load(), any ? 1 : 0) << "row " << w;
+  }
+  EXPECT_GT(distinct, width / 2);  // the masks really overlapped the row
+}
+
+TEST(EnergyRowTest, ThrowingBatchReleasesItsClaim) {
+  const std::size_t width = 200;
+  const std::vector<double> expected = cold_row(width);
+  EnergyRow row(width);
+  const Cycles poisoned = 70;
+  std::atomic<bool> armed{true};
+  const auto batch = [&](const Cycles* cycles, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (cycles[i] == poisoned && armed.exchange(false)) throw Error("poisoned row");
+      out[i] = expected[static_cast<std::size_t>(cycles[i])];
+    }
+  };
+  double dst[64];
+  EXPECT_THROW(row.fill(64, ~std::uint64_t{0}, dst, batch), Error);
+  // The claim on the failed batch is gone: a later call (here from other
+  // threads, which would spin forever on a leaked claim) computes the rows.
+  std::vector<std::vector<double>> got(4, std::vector<double>(64, -1.0));
+  parallel_for(
+      4, [&](std::size_t t) { row.fill(64, ~std::uint64_t{0}, got[t].data(), batch); },
+      /*jobs=*/4);
+  for (const std::vector<double>& values : got) {
+    for (std::size_t b = 0; b < 64; ++b) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(values[b]),
+                std::bit_cast<std::uint64_t>(expected[64 + b]))
+          << "row " << 64 + b;
+    }
+  }
+}
+
+#if defined(RETASK_OBS_ENABLED) && RETASK_OBS_ENABLED
+TEST(EnergyRowTest, AttachedRowKeepsTheMemoCounters) {
+  const RejectionProblem cold = chunk_problem(MemoMode::kNone, 0);
+  const auto row = std::make_shared<EnergyRow>(200);  // narrower than the 257-row problem
+  // Warm the row from another memo first: the counted memo must still see
+  // every one of its own first reads as a miss.
+  {
+    RejectionProblem other = cold;
+    auto memo = std::make_shared<EnergyMemo>();
+    memo->attach_row(row);
+    other.attach_energy_memo(memo);
+    double scratch[64];
+    for (const std::size_t w0 : {0u, 64u, 128u, 192u}) {
+      (void)other.energy_chunk(w0, ~std::uint64_t{0}, scratch);
+    }
+  }
+  const auto counters = [&](bool with_row) {
+    RejectionProblem problem = cold;
+    auto memo = std::make_shared<EnergyMemo>();
+    if (with_row) memo->attach_row(row);
+    problem.attach_energy_memo(memo);
+    obs::Registry metrics;
+    {
+      obs::ActiveScope scope(metrics);
+      double scratch[64];
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const std::size_t w0 : {0u, 64u, 128u, 192u, 256u}) {
+          // Row 256 is the capacity: its chunk holds one readable row.
+          const std::uint64_t mask = 0x00ff'00f0'f00f'0f01ull << pass;
+          (void)problem.energy_chunk(w0, w0 == 256 ? std::uint64_t{1} : mask, scratch);
+        }
+        for (const Cycles c : {3, 3, 70, 199, 200, 256, 5}) (void)problem.energy_of_cycles(c);
+      }
+    }
+    const auto counter = [&](const char* name) {
+      return metrics.counter(obs::intern_metric(obs::MetricKind::kCounter, name));
+    };
+    return std::pair{counter("cache.energy_hits"), counter("cache.energy_misses")};
+  };
+  const auto with_row = counters(true);
+  const auto without_row = counters(false);
+  EXPECT_GT(with_row.first, 0u);
+  EXPECT_GT(with_row.second, 0u);
+  EXPECT_EQ(with_row, without_row);
+}
+#endif  // RETASK_OBS_ENABLED
+
+// ---------------------------------------------------------------------------
 // Harness: grouped sweep solving and per-cell memos change nothing about
 // the aggregates, at any job count.
 
@@ -341,6 +484,50 @@ TEST(HarnessSweepCache, GroupedSolvingMatchesColdHarnessBitForBit) {
 
 TEST(HarnessSweepCache, GroupedSolvingIsJobCountInvariant) {
   expect_same_aggregates(run_batch({}, /*jobs=*/1), run_batch({}, /*jobs=*/8));
+}
+
+// The grid-wide energy rows: a capacity sweep over at least three blocks,
+// one of whose factories varies its platform with the seed (so the
+// same_platforms guard must refuse that point's row for some cells), gives
+// the same aggregates at jobs 1 and 4 and without any memo, and the same
+// solver counters at jobs 1 and 4.
+TEST(HarnessSweepCache, EnergyRowsChangeNoAggregateOrCounter) {
+  std::vector<ProblemFactory> factories;
+  for (const double factor : {1.0, 0.7, 0.45}) {
+    factories.push_back([factor](std::uint64_t seed) {
+      return make_capacity_sweep(test::small_instance(seed, 10, 1.4), {factor}).front();
+    });
+  }
+  factories.push_back([](std::uint64_t seed) {
+    return make_capacity_sweep(test::small_instance(seed, 10, 1.4), {seed % 3 == 0 ? 0.8 : 0.85})
+        .front();
+  });
+  const auto reference = [](const RejectionProblem& p) { return fractional_lower_bound(p); };
+  const auto lineup = standard_uniproc_lineup();
+  const int lanes = std::max(1, lockstep_lanes());
+  const int instances = 3 * lanes + 1;  // >= 3 blocks at any lane count
+  const auto run = [&](const BatchOptions& options, int jobs) {
+    return run_comparison_batch(factories, lineup, reference, instances, /*seed0=*/21, jobs,
+                                options);
+  };
+  const auto counters = [](const std::vector<std::vector<AlgoStats>>& stats) {
+    std::ostringstream os;
+    for (const auto& point : stats) {
+      for (const AlgoStats& s : point) {
+        for (const obs::MetricRow& row : obs::report_rows(s.metrics, /*include_timers=*/false)) {
+          os << s.name << " " << row.name << "=" << row.value << "\n";
+        }
+      }
+    }
+    return os.str();
+  };
+  const auto sequential = run({}, /*jobs=*/1);
+  const auto parallel = run({}, /*jobs=*/4);
+  BatchOptions no_memo;
+  no_memo.cell_energy_memo = false;
+  expect_same_aggregates(sequential, parallel);
+  expect_same_aggregates(sequential, run(no_memo, /*jobs=*/4));
+  EXPECT_EQ(counters(sequential), counters(parallel));
 }
 
 #if defined(RETASK_OBS_ENABLED) && RETASK_OBS_ENABLED

@@ -27,6 +27,8 @@
 #include "retask/serve/server.hpp"
 
 #ifdef __unix__
+#include <csignal>
+
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -239,6 +241,9 @@ int run_socket(const ServeCliOptions& options) {
   require(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
           "bind() failed on '" + options.socket_path + "'");
   require(::listen(listener, 1) == 0, "listen() failed");
+  // A reply written to a client that already closed its end must fail the
+  // write (EPIPE, handled per connection below), not kill the daemon.
+  std::signal(SIGPIPE, SIG_IGN);
   std::cerr << "serve: listening on " << options.socket_path << "\n";
 
   // One client at a time; each connection is a fresh session (its own
@@ -255,11 +260,17 @@ int run_socket(const ServeCliOptions& options) {
     ServeLoopOptions loop;
     loop.max_batch = options.max_batch;
     loop.async_replies = false;  // socket replies flush inline per batch
-    const ServeLoopStats stats = run_serve_loop(in, out, session, loop);
-    if (options.print_stats) print_stats(stats);
-    if (!stats.protocol_error.empty()) {
-      // Ends this connection only; the daemon keeps accepting clients.
-      std::cerr << "serve: client dropped: " << stats.protocol_error << "\n";
+    // A malformed frame or a failed reply write (the client went away
+    // without reading) ends this connection only; the daemon keeps
+    // accepting clients.
+    try {
+      const ServeLoopStats stats = run_serve_loop(in, out, session, loop);
+      if (options.print_stats) print_stats(stats);
+      if (!stats.protocol_error.empty()) {
+        std::cerr << "serve: client dropped: " << stats.protocol_error << "\n";
+      }
+    } catch (const std::exception& error) {
+      std::cerr << "serve: client dropped: " << error.what() << "\n";
     }
     if (session.closed()) break;
   }
