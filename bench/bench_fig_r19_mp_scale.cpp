@@ -11,7 +11,8 @@
 // Expected shape: both solvers stay within a few percent of the bound (the
 // gap includes the bound's integrality slack), and the speedup grows with M.
 // The greedy probes all M processors per task and re-probes them across its
-// improvement passes (O(n m) memo probes), while MP-SCALE's dominant cost —
+// improvement passes (O(n m) probes, each an energy-table read and a
+// subtract), while MP-SCALE's dominant cost —
 // the per-PE exact relaxations, n/m tasks times an O(resolution) table each
 // — is independent of M, so sweeping M at fixed n isolates exactly the
 // many-core regime the solver exists for. (Fixed n is also forced by the

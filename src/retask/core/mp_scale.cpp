@@ -114,8 +114,10 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
   const auto memo = std::make_shared<EnergyMemo>();
   // Every select sweep and probe evaluates E over loads in [0, capacity];
   // the dense mode turns those tens of millions of replays into indexed
-  // loads instead of hash probes.
-  memo->reserve_dense(std::min(capacity, problem.tasks().total_cycles()));
+  // loads instead of hash probes. The attached row reserves that range and
+  // lets the pool's shards share one E(w) row, so each value is computed
+  // once per solve instead of once per worker thread.
+  memo->attach_row(EnergyMemo::make_row(std::min(capacity, problem.tasks().total_cycles())));
   std::vector<std::unique_ptr<RejectionProblem>> sub(m);
   for (std::size_t p = 0; p < m; ++p) {
     if (pe[p].member.empty()) continue;

@@ -17,14 +17,17 @@
 //     (fused select energy evaluations), and the lane chunks are sharded
 //     across the parallel_for pool. Every PE's solution is bit-identical to
 //     a solo ExactDpSolver solve of its subproblem, so the phase is
-//     invariant to RETASK_JOBS, RETASK_BATCH, and the SIMD backend.
+//     invariant to RETASK_JOBS, RETASK_BATCH, and the SIMD backend. The
+//     subproblems share one dense EnergyMemo backed by one EnergyRow
+//     (cache/energy_row.hpp), so the pool computes each E(w) once per solve
+//     rather than once per worker thread.
 //  3. A move/swap local search re-seats locally-rejected tasks on the
 //     least-loaded PE. Probes go through per-PE DeltaSolver instances
 //     (serve/delta_solver.hpp): one O(W) admit-relaxation per probe and a
 //     checkpointed-replay undo, instead of a cold O(n_p * W) re-solve. The
 //     solvers are built lazily (only PEs the search touches pay the table
-//     fill) and share one EnergyMemo — all PEs of one instance are the same
-//     platform, so their probe loads hit one cache.
+//     fill) and share phase 2's EnergyMemo — all PEs of one instance are the
+//     same platform, so their probe loads hit one cache.
 //
 // The search is serial and deterministic; all parallelism lives in phase 2,
 // whose lanes are bit-exact. Counters: the mp.* family (probes, moves,

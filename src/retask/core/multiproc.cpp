@@ -1,9 +1,12 @@
 #include "retask/core/multiproc.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <unordered_map>
 #include <vector>
 
 #include "retask/cache/energy_memo.hpp"
@@ -70,43 +73,85 @@ RejectionSolution MultiProcLtfRejectSolver::solve(const RejectionProblem& proble
 
 RejectionSolution MultiProcGreedySolver::solve(const RejectionProblem& problem) const {
   const auto m = static_cast<std::size_t>(problem.processor_count());
+  const Cycles capacity = problem.cycle_capacity();
   std::vector<Cycles> loads(m, 0);
   std::vector<bool> accepted(problem.size(), false);
   std::vector<int> processor_of(problem.size(), -1);
 
-  // All probe energies go through one solver-local memo: the placement and
-  // improvement passes re-evaluate the same per-processor loads over and
-  // over (E(load_p) is probed for every task until load_p changes), and the
-  // memo replays the recorded bits, so caching cannot change a solution bit.
-  EnergyMemo memo;
-  std::uint64_t probe_evals = 0;
-  std::uint64_t probe_misses = 0;
+  // The placement and improvement passes probe E(load) millions of times at
+  // many-core scale, and every load is a cycle count in
+  // [0, min(capacity, total cycles)]. The solve is serial, so a flat table
+  // over that range, filled on first touch (NaN = not yet evaluated),
+  // replaces a memo: a lookup is one indexed load, and the table replays
+  // the bits computed once, so caching cannot change a solution bit. A range
+  // wider than EnergyMemo::kDenseLimit (a huge capacity) uses a map instead.
+  const Cycles top = std::min(capacity, problem.tasks().total_cycles());
+  std::vector<double> table(
+      top >= 0 && static_cast<std::size_t>(top) < EnergyMemo::kDenseLimit
+          ? static_cast<std::size_t>(top) + 1
+          : 0,
+      std::numeric_limits<double>::quiet_NaN());
+  std::unordered_map<Cycles, double> sparse;
+  std::uint64_t probe_misses = 0;  // distinct loads evaluated
   const auto energy_at = [&](Cycles cycles) {
-    ++probe_evals;
-    return memo.get_or_compute(cycles, [&](Cycles c) {
+    const auto w = static_cast<std::size_t>(cycles);
+    if (w < table.size()) {
+      double& energy = table[w];
+      if (std::isnan(energy)) {
+        ++probe_misses;
+        energy = problem.curve().energy(problem.work_per_cycle() * static_cast<double>(cycles));
+      }
+      return energy;
+    }
+    const auto [it, fresh] = sparse.try_emplace(cycles, 0.0);
+    if (fresh) {
       ++probe_misses;
-      return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(c));
-    });
+      it->second = problem.curve().energy(problem.work_per_cycle() * static_cast<double>(cycles));
+    }
+    return it->second;
   };
 
-  // Greedy placement in descending size: cheapest of {reject, best proc}.
-  for (const std::size_t i : by_descending_cycles(problem)) {
-    const FrameTask& task = problem.tasks()[i];
-    double best_cost = task.penalty;
+  // E(load_p) per PE, refreshed whenever load_p changes, so a probe is one
+  // table read and one subtract. Every load a PE moves to was probed just
+  // before, so the refresh evaluates nothing new; E(0) is seeded only when
+  // some task fits at all (otherwise no probe ever runs). mp.probe_evals
+  // keeps its meaning: the two E evaluations of each marginal-cost probe.
+  std::vector<double> pe_energy(m, 0.0);
+  if (m > 0 && std::any_of(problem.tasks().tasks().begin(), problem.tasks().tasks().end(),
+                           [&](const FrameTask& t) { return t.cycles <= capacity; })) {
+    pe_energy.assign(m, energy_at(0));
+  }
+  std::uint64_t probes = 0;
+  // Cheapest of {reject at `penalty`, best PE} for a task of `cycles`;
+  // strict < keeps the lowest PE index on ties.
+  const auto best_placement = [&](Cycles cycles, double penalty, double& best_cost) {
+    best_cost = penalty;
     int best_proc = -1;
     for (std::size_t p = 0; p < m; ++p) {
-      if (loads[p] + task.cycles > problem.cycle_capacity()) continue;
-      const double delta = energy_at(loads[p] + task.cycles) - energy_at(loads[p]);
+      if (loads[p] + cycles > capacity) continue;
+      ++probes;
+      const double delta = energy_at(loads[p] + cycles) - pe_energy[p];
       if (delta < best_cost) {
         best_cost = delta;
         best_proc = static_cast<int>(p);
       }
     }
-    if (best_proc >= 0) {
-      accepted[i] = true;
-      processor_of[i] = best_proc;
-      loads[static_cast<std::size_t>(best_proc)] += task.cycles;
-    }
+    return best_proc;
+  };
+  const auto place = [&](std::size_t i, int p) {
+    accepted[i] = p >= 0;
+    processor_of[i] = p;
+    if (p < 0) return;
+    const auto q = static_cast<std::size_t>(p);
+    loads[q] += problem.tasks()[i].cycles;
+    pe_energy[q] = energy_at(loads[q]);
+  };
+
+  // Greedy placement in descending size: cheapest of {reject, best proc}.
+  for (const std::size_t i : by_descending_cycles(problem)) {
+    const FrameTask& task = problem.tasks()[i];
+    double best_cost = 0.0;
+    place(i, best_placement(task.cycles, task.penalty, best_cost));
   }
 
   // Improvement passes: re-place each task where it is cheapest now.
@@ -119,30 +164,23 @@ RejectionSolution MultiProcGreedySolver::solve(const RejectionProblem& problem) 
       double current_cost = task.penalty;
       if (accepted[i]) {
         const auto p = static_cast<std::size_t>(processor_of[i]);
+        const double with_task = pe_energy[p];
         loads[p] -= task.cycles;
-        current_cost = energy_at(loads[p] + task.cycles) - energy_at(loads[p]);
+        pe_energy[p] = energy_at(loads[p]);
+        ++probes;
+        current_cost = with_task - pe_energy[p];
       }
-      double best_cost = task.penalty;
-      int best_proc = -1;
-      for (std::size_t p = 0; p < m; ++p) {
-        if (loads[p] + task.cycles > problem.cycle_capacity()) continue;
-        const double delta = energy_at(loads[p] + task.cycles) - energy_at(loads[p]);
-        if (delta < best_cost) {
-          best_cost = delta;
-          best_proc = static_cast<int>(p);
-        }
-      }
+      double best_cost = 0.0;
+      const int best_proc = best_placement(task.cycles, task.penalty, best_cost);
       if (best_cost + 1e-12 < current_cost) {
         changed = true;
         ++moves_applied;
       }
-      accepted[i] = best_proc >= 0;
-      processor_of[i] = best_proc;
-      if (best_proc >= 0) loads[static_cast<std::size_t>(best_proc)] += task.cycles;
+      place(i, best_proc);
     }
     if (!changed) break;
   }
-  RETASK_COUNT("mp.probe_evals", probe_evals);
+  RETASK_COUNT("mp.probe_evals", 2 * probes);
   RETASK_COUNT("mp.probe_misses", probe_misses);
   RETASK_COUNT("mp.moves_applied", moves_applied);
   return make_solution(problem, std::move(accepted), std::move(processor_of));

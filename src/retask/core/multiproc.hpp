@@ -13,7 +13,10 @@
 // * MultiProcGreedySolver — globally greedy: tasks in descending cycles are
 //   either rejected or placed on the processor where the exact marginal
 //   energy increase is smallest, whichever is cheaper; followed by a
-//   single-flip improvement pass.
+//   single-flip improvement pass. It makes O(n·m) marginal-cost probes per
+//   pass, so each probe reads a per-solve energy table and a per-processor
+//   E(load) cache; verify/reference.hpp keeps the cache-free semantics the
+//   solver must match bit for bit.
 #ifndef RETASK_CORE_MULTIPROC_HPP
 #define RETASK_CORE_MULTIPROC_HPP
 

@@ -24,6 +24,7 @@
 #include "retask/sched/stochastic.hpp"
 #include "retask/serve/delta_solver.hpp"
 #include "retask/simd/backend.hpp"
+#include "retask/verify/reference.hpp"
 
 namespace retask {
 namespace {
@@ -759,12 +760,25 @@ std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,
     mismatch("partition", std::string("partition diff threw: ") + error.what());
   }
 
-  if (problem.processor_count() < 2) return violations;
-
   const auto same_solution = [](const RejectionSolution& a, const RejectionSolution& b) {
     return a.accepted == b.accepted && a.processor_of == b.processor_of &&
            a.energy == b.energy && a.penalty == b.penalty;
   };
+
+  // 1b) MP-GREEDY (flat energy table + per-PE E(load) cache) vs its
+  // cache-free reference, which evaluates the curve on every probe.
+  try {
+    const RejectionSolution fast = MultiProcGreedySolver().solve(problem);
+    const RejectionSolution ref = mp_greedy_reference(problem);
+    if (!same_solution(fast, ref)) {
+      mismatch("mp-greedy", "objective " + fmt(fast.objective()) + " != cache-free reference " +
+                                fmt(ref.objective()) + " (or masks/bindings differ)");
+    }
+  } catch (const std::exception& error) {
+    mismatch("mp-greedy", std::string("mp-greedy diff threw: ") + error.what());
+  }
+
+  if (problem.processor_count() < 2) return violations;
 
   try {
     // 2) mp-scale invariance: jobs, lockstep lanes, and SIMD backend must

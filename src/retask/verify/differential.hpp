@@ -165,7 +165,9 @@ std::vector<PropertyViolation> check_stochastic_diff(const InstanceSpec& spec,
 /// (1) the O(n log m) heap / tournament-tree partitioners against the
 /// O(n * m) linear-scan reference (`partition_items_reference`) over the
 /// instance's cycle weights, every policy, several bin counts — bin
-/// assignments and bin loads must match bit for bit; (2) the mp-scale
+/// assignments and bin loads must match bit for bit — and MP-GREEDY against
+/// its cache-free reference (`mp_greedy_reference`, verify/reference.hpp),
+/// solution for solution; (2) the mp-scale
 /// solver's invariance contract — solutions at different jobs / lockstep
 /// lane counts and under every available SIMD backend must be bitwise
 /// identical; (3) composition identities — with local search off and no

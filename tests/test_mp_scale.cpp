@@ -5,6 +5,7 @@
 #include "retask/core/mp_scale.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,9 @@
 #include "retask/core/exhaustive.hpp"
 #include "retask/core/lower_bound.hpp"
 #include "retask/core/multiproc.hpp"
+#include "retask/exp/workload.hpp"
+#include "retask/obs/metrics.hpp"
+#include "retask/power/polynomial_power.hpp"
 #include "retask/simd/backend.hpp"
 #include "test_util.hpp"
 
@@ -31,6 +35,17 @@ namespace {
            << b.penalty;
   }
   return ::testing::AssertionSuccess();
+}
+
+/// FNV-1a over the placement vector (-1 = rejected), for pinning a large
+/// solution in one constant.
+std::uint64_t placement_hash(const RejectionSolution& s) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const int p : s.processor_of) {
+    hash ^= static_cast<std::uint64_t>(p + 1);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 bool has_oversized_task(const RejectionProblem& p) {
@@ -112,6 +127,64 @@ TEST(MpScale, BitwiseInvariantAcrossJobsLanesAndBackends) {
       EXPECT_TRUE(same_solution(base_solver.solve(p), base))
           << "seed " << seed << " backend " << simd::to_string(backend);
     }
+  }
+}
+
+TEST(MpScale, SharedRowKeepsRecordedSolutionAndCounters) {
+  // One n = 2000, m = 16 instance; the pinned values were recorded before
+  // phase 2's shards shared an EnergyRow. The row changes only which thread
+  // computes an E(w) value, so the solution and the search's counters stay
+  // bit-identical at any job count. cache.energy_hits / energy_misses are
+  // per-shard by the EnergyMemo contract: at one job they are pinned; on a
+  // pool the hit/miss split depends on which thread ran which lane chunk,
+  // and only their sum (the lookups made) is fixed.
+  ScenarioConfig config;
+  config.task_count = 2000;
+  config.load = 0.75 * 16;
+  config.resolution = 2000.0;
+  config.processor_count = 16;
+  config.seed = 1;
+  const RejectionProblem p = make_scenario(config, PolynomialPowerModel::xscale());
+  RejectionSolution base;
+  for (const int jobs : {1, 4}) {
+    MpScaleConfig scale_config;
+    scale_config.jobs = jobs;
+    scale_config.lanes = 4;  // the lookups made depend on the lane count
+    obs::reset_all();
+    const RejectionSolution s = MultiProcScaleSolver(scale_config).solve(p);
+    const obs::Registry metrics = obs::global_snapshot();
+    EXPECT_EQ(s.accepted_count(), 1407u) << "jobs " << jobs;
+    EXPECT_EQ(placement_hash(s), 0x9714845d429fbc69ULL) << "jobs " << jobs;
+    EXPECT_EQ(s.energy, 0x1.5083f1638db7ap+1) << "jobs " << jobs;
+    EXPECT_EQ(s.penalty, 0x1.4ee431c3ffdebp+1) << "jobs " << jobs;
+    if (jobs == 1) {
+      base = s;
+    } else {
+      EXPECT_TRUE(same_solution(s, base));
+    }
+#if RETASK_OBS_ENABLED
+    const auto counter = [&](const char* name) {
+      return metrics.counter(obs::intern_metric(obs::MetricKind::kCounter, name));
+    };
+    EXPECT_EQ(counter("mp.scale_solves"), 1u);
+    EXPECT_EQ(counter("mp.pe_size_groups"), 1u);
+    EXPECT_EQ(counter("mp.oversized_rejected"), 0u);
+    EXPECT_EQ(counter("mp.overflow_rejected"), 0u);
+    EXPECT_EQ(counter("mp.move_probes"), 32u);
+    EXPECT_EQ(counter("mp.swap_probes"), 31u);
+    EXPECT_EQ(counter("mp.moves_applied"), 14u);
+    EXPECT_EQ(counter("mp.swaps_applied"), 0u);
+    EXPECT_EQ(counter("mp.delta_solvers_built"), 4u);
+    const std::uint64_t hits = counter("cache.energy_hits");
+    const std::uint64_t misses = counter("cache.energy_misses");
+    EXPECT_EQ(hits + misses, 307870u) << "jobs " << jobs;
+    if (jobs == 1) {
+      EXPECT_EQ(hits, 306721u);
+      EXPECT_EQ(misses, 1149u);
+    }
+#else
+    EXPECT_TRUE(metrics.empty());
+#endif
   }
 }
 

@@ -4,12 +4,18 @@
 #include "retask/core/multiproc.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "retask/cache/energy_memo.hpp"
 #include "retask/common/error.hpp"
 #include "retask/core/exhaustive.hpp"
 #include "retask/core/lower_bound.hpp"
+#include "retask/verify/differential.hpp"
+#include "retask/verify/reference.hpp"
 #include "test_util.hpp"
 
 namespace retask {
@@ -124,17 +130,75 @@ TEST(MultiProcLtf, MoreProcessorsThanTasksLeavesEmptyPes) {
   EXPECT_GE(empty, 11);
 }
 
-TEST(MultiProcGreedy, SharedMemoKeepsSolutionsIdentical) {
-  // The probe memo is an observability/speed change only: solutions must be
-  // byte-identical with what the solver produced before (pinned via a twin
-  // solve — the memo is per-solve state, so two runs must agree bitwise).
-  const RejectionProblem p = test::small_instance(7, 14, 2.8, 1.0, 3);
-  const RejectionSolution a = MultiProcGreedySolver().solve(p);
-  const RejectionSolution b = MultiProcGreedySolver().solve(p);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.processor_of, b.processor_of);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.penalty, b.penalty);
+TEST(MultiProcGreedy, MatchesCacheFreeReference) {
+  // The solver reads every probe energy from a flat per-solve table and a
+  // per-PE E(load) cache; the reference calls curve().energy on every
+  // probe. Caching must not move a bit. The sweep covers m = 1/2/8/64,
+  // convex (free sleep), dormant-disable and sleep-overhead (non-convex)
+  // curves, tasks exactly at the per-PE capacity, equal-penalty ties, and a
+  // load range too wide for the table (the map path).
+  const auto expect_reference = [](const RejectionProblem& p, std::uint64_t seed) {
+    const RejectionSolution got = MultiProcGreedySolver().solve(p);
+    const RejectionSolution want = mp_greedy_reference(p);
+    EXPECT_EQ(got.accepted, want.accepted) << "seed " << seed;
+    EXPECT_EQ(got.processor_of, want.processor_of) << "seed " << seed;
+    EXPECT_EQ(got.energy, want.energy) << "seed " << seed;
+    EXPECT_EQ(got.penalty, want.penalty) << "seed " << seed;
+    return got.accepted_count() < p.size();
+  };
+  const char* const models[] = {"xscale", "cubic", "table5"};
+  const int processor_counts[] = {1, 2, 8, 64};
+  int at_capacity = 0;
+  int with_rejections = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    InstanceSpec spec;
+    spec.model = models[seed % 3];
+    spec.processor_count = processor_counts[seed % 4];
+    spec.resolution = 160.0 + 40.0 * static_cast<double>(seed % 5);
+    switch ((seed / 4) % 3) {
+      case 1:
+        spec.idle = IdleDiscipline::kDormantDisable;
+        break;
+      case 2:
+        spec.switch_energy = 0.15;
+        spec.switch_time = 0.05;
+        break;
+      default:
+        break;
+    }
+    spec.task_count = std::min(12 + 3 * spec.processor_count, 96);
+    spec.load = (0.8 + 0.15 * static_cast<double>(seed % 7)) * spec.processor_count;
+    spec.penalty_scale = 0.3 + 0.4 * static_cast<double>(seed % 4);
+    spec.seed = seed;
+    std::vector<FrameTask> tasks = draw_tasks(spec).tasks();
+    const Cycles capacity = build_problem(spec, FrameTaskSet(tasks)).cycle_capacity();
+    if (seed % 2 == 0) {
+      tasks.front().cycles = capacity;
+      tasks[tasks.size() / 2].cycles = capacity;
+      ++at_capacity;
+    }
+    if (seed % 3 == 0) {
+      for (FrameTask& task : tasks) task.penalty = tasks.front().penalty;
+    }
+    if (expect_reference(build_problem(spec, FrameTaskSet(std::move(tasks))), seed)) {
+      ++with_rejections;
+    }
+  }
+  EXPECT_EQ(at_capacity, 32);
+  EXPECT_GT(with_rejections, 16);
+
+  InstanceSpec wide;
+  wide.processor_count = 2;
+  wide.task_count = 12;
+  wide.load = 2.4;
+  wide.resolution = 2.0 * static_cast<double>(EnergyMemo::kDenseLimit);
+  for (std::uint64_t seed = 65; seed <= 68; ++seed) {
+    wide.seed = seed;
+    const RejectionProblem p = build_instance(wide);
+    ASSERT_GE(std::min(p.cycle_capacity(), p.tasks().total_cycles()),
+              static_cast<Cycles>(EnergyMemo::kDenseLimit));
+    expect_reference(p, seed);
+  }
 }
 
 TEST(MultiProcExhaustive, GuardsHugeInstances) {

@@ -18,6 +18,7 @@
 #include "retask/core/fptas.hpp"
 #include "retask/core/greedy.hpp"
 #include "retask/core/lower_bound.hpp"
+#include "retask/core/multiproc.hpp"
 #include "retask/exp/harness.hpp"
 #include "retask/obs/json.hpp"
 #include "retask/obs/metrics.hpp"
@@ -383,6 +384,25 @@ TEST(Metrics, TableAdoptionIsCounted) {
   EXPECT_EQ(metrics.counter(cold_falls), 0u);
 }
 
+// MP-GREEDY's probe counters keep their meaning across the switch from an
+// EnergyMemo to a flat per-solve table: mp.probe_evals counts two E
+// evaluations per marginal-cost probe, mp.probe_misses the distinct loads
+// first evaluated in the solve. Values recorded from the memo-based solver.
+TEST(Metrics, MpGreedyProbeCountersKeepTheirMeaning) {
+  const RejectionProblem problem = test::small_instance(5, 60, 9.0, 1.0, 6);
+  Registry metrics;
+  {
+    obs::ActiveScope scope(metrics);
+    MultiProcGreedySolver().solve(problem);
+  }
+  const auto counter = [&](const char* name) {
+    return metrics.counter(obs::intern_metric(MetricKind::kCounter, name));
+  };
+  EXPECT_EQ(counter("mp.probe_evals"), 3062u);
+  EXPECT_EQ(counter("mp.probe_misses"), 252u);
+  EXPECT_EQ(counter("mp.moves_applied"), 38u);
+}
+
 #else  // !RETASK_OBS_ENABLED
 
 // With RETASK_OBS=OFF the macros vanish: running a solver under a scoped
@@ -394,6 +414,7 @@ TEST(Metrics, DisabledBuildRecordsNothing) {
     obs::ActiveScope scope(metrics);
     ExactDpSolver().solve(problem);
     DensityGreedySolver().solve(problem);
+    MultiProcGreedySolver().solve(test::small_instance(5, 60, 9.0, 1.0, 6));
   }
   EXPECT_TRUE(metrics.empty());
   EXPECT_TRUE(obs::report_rows(metrics).empty());

@@ -583,7 +583,7 @@ std::vector<Workload> build_workloads(int jobs) {
                                      std::chrono::steady_clock::now() - start)
                                      .count()));
                            }
-                           const double elapsed =
+                           [[maybe_unused]] const double elapsed =
                                std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                              begin)
                                    .count();

@@ -76,7 +76,8 @@ usage: retask_fuzz [options]
                      distribution for exact replay
   --mp-diff          also check the multiprocessor scale path: the O(n log m)
                      heap/tournament partitioners against the linear-scan
-                     reference, mp-scale bit-invariance across jobs /
+                     reference, mp-greedy against its cache-free reference,
+                     mp-scale bit-invariance across jobs /
                      lockstep lanes / SIMD backends, the rounds=0 composition
                      identity with mp-ltf-dp, and Lagrangian lower-bound
                      soundness
