@@ -74,16 +74,14 @@ struct LaneTables {
 /// Fills every lane's knapsack table, each lane by the SAME contiguous
 /// relaxation kernel the single-instance solver uses, with per-lane
 /// reachability bounds and capacity pruning. The fill is per lane on
-/// purpose: the descending relaxation is already 4-wide vectorized on
-/// contiguous cells, while a lane-interleaved traversal must gather strided
-/// cells — measured several times slower on AVX2 (the gather-based
-/// kernels.relax_desc_f64_lanes stays available for layouts that are
-/// interleaved by necessity). When `exports` is non-null, lane k's finished
-/// table — value row, choice bits, dense value-row checkpoints at a stride
-/// targeting <= 4 rows — is captured into (*exports)[k] unless the capture
-/// exceeds kExportByteBudget; the captured state is bit-identical to what
-/// DeltaSolver::admit_all over the lane's task vector retains, which is
-/// exactly the DeltaSolver::adopt_table contract.
+/// purpose: the descending relaxation is already vectorized on contiguous
+/// cells, while a lane-interleaved traversal must gather strided cells —
+/// measured several times slower on AVX2. When `exports` is non-null, lane
+/// k's finished table — value row, choice bits, dense value-row checkpoints
+/// at a stride targeting <= 4 rows — is captured into (*exports)[k] unless
+/// the capture exceeds kExportByteBudget; the captured state is
+/// bit-identical to what DeltaSolver::admit_all over the lane's task vector
+/// retains, which is exactly the DeltaSolver::adopt_table contract.
 void lockstep_fill(const std::vector<const RejectionProblem*>& chunk,
                    const std::vector<std::size_t>& cap, LaneTables& tables,
                    std::vector<DpTableExport>* exports) {

@@ -13,10 +13,9 @@
 //    `energy_chunk` call per 64-row chunk over the union of the lanes'
 //    rows — legal because the shape check guarantees every lane's curve
 //    produces identical bits.
-//    (A lane-interleaved fill through `relax_desc_f64_lanes` was measured
-//    slower than per-lane contiguous fills on AVX2 — gathers lose to the
-//    4-wide contiguous path — so the shared work lives in the select, not
-//    the fill; see lockstep.cpp.)
+//    (A lane-interleaved fill was measured slower than per-lane contiguous
+//    fills on AVX2 — gathers lose to the contiguous path — so the shared
+//    work lives in the select, not the fill; see lockstep.cpp.)
 //  * Density / marginal greedy — per-lane decisions replayed position by
 //    position (density) or round by round (local search), with every
 //    energy probe of every live lane fused into one batched evaluation.

@@ -130,6 +130,10 @@ void DeltaSolver::replay_from(std::size_t invalidated) {
 const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
   validate(task);
   require(index_of(task.id) == kNone, "DeltaSolver::admit: task id already resident");
+  require(task.cycles <= kMaxCycles - total_cycles_,
+          "DeltaSolver::admit: resident cycle total would overflow");
+  require(std::isfinite(penalty_total() + task.penalty),
+          "DeltaSolver::admit: resident penalty total would overflow");
   tasks_.push_back(task);
   total_cycles_ += task.cycles;
   const std::size_t i = tasks_.size() - 1;
@@ -143,9 +147,15 @@ const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
 }
 
 const RejectionSolution& DeltaSolver::admit_all(const std::vector<FrameTask>& tasks) {
+  double penalty = penalty_total();
   for (const FrameTask& task : tasks) {
     validate(task);
     require(index_of(task.id) == kNone, "DeltaSolver::admit_all: task id already resident");
+    require(task.cycles <= kMaxCycles - total_cycles_,
+            "DeltaSolver::admit_all: resident cycle total would overflow");
+    penalty += task.penalty;
+    require(std::isfinite(penalty),
+            "DeltaSolver::admit_all: resident penalty total would overflow");
     tasks_.push_back(task);  // visible to index_of: later duplicates rejected
     total_cycles_ += task.cycles;
     const std::size_t i = tasks_.size() - 1;
@@ -170,9 +180,15 @@ const RejectionSolution& DeltaSolver::adopt_table(const std::vector<FrameTask>& 
   const auto stride = static_cast<std::size_t>(table.checkpoint_stride);
   require(table.cp_values.size() == n / stride && table.cp_reach.size() == table.cp_values.size(),
           "DeltaSolver::adopt_table: checkpoint rows must be dense at the stride");
+  double penalty = 0.0;
   for (const FrameTask& task : tasks) {
     validate(task);
     require(index_of(task.id) == kNone, "DeltaSolver::adopt_table: duplicate task id");
+    require(task.cycles <= kMaxCycles - total_cycles_,
+            "DeltaSolver::adopt_table: resident cycle total would overflow");
+    penalty += task.penalty;
+    require(std::isfinite(penalty),
+            "DeltaSolver::adopt_table: resident penalty total would overflow");
     tasks_.push_back(task);  // visible to index_of: later duplicates rejected
     total_cycles_ += task.cycles;
   }
@@ -222,12 +238,23 @@ const RejectionSolution& DeltaSolver::reprice(int id, double penalty) {
   const std::size_t i = index_of(id);
   require(i != kNone, "DeltaSolver::reprice: unknown task id");
   FrameTask probe = tasks_[i];
+  const double previous = probe.penalty;
   probe.penalty = penalty;
   validate(probe);  // same rules as admit (finite, non-negative)
   tasks_[i] = probe;
+  if (!std::isfinite(penalty_total())) {
+    tasks_[i].penalty = previous;
+    throw Error("DeltaSolver::reprice: resident penalty total would overflow");
+  }
   replay_from(i);
   select();
   return solution_;
+}
+
+double DeltaSolver::penalty_total() const {
+  double total = 0.0;
+  for (const FrameTask& task : tasks_) total += task.penalty;
+  return total;
 }
 
 double DeltaSolver::energy_of(Cycles cycles) {
@@ -243,11 +270,7 @@ void DeltaSolver::select() {
   // <= that cap bit-identical, so sweeping the same range reads the same
   // answer.
   const auto cap = static_cast<std::size_t>(std::min(cycle_capacity_, total_cycles_));
-  // Recomputed in residual order every time — FrameTaskSet accumulates its
-  // total the same way, and float addition is order-sensitive, so an
-  // incrementally maintained sum could drift from the cold solve's bits.
-  double total_penalty = 0.0;
-  for (const FrameTask& task : tasks_) total_penalty += task.penalty;
+  const double total_penalty = penalty_total();
 
   const auto batch = [this](const Cycles* cycles, double* out, std::size_t m) {
     curve_.energy_cycles_batch(work_per_cycle_, cycles, out, m);

@@ -40,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -142,6 +143,9 @@ class DeltaSolver {
 
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  /// Bound on the resident cycle total: an admit that would wrap it is
+  /// refused instead (cycles beyond the capacity are legal, only rejected).
+  static constexpr Cycles kMaxCycles = std::numeric_limits<Cycles>::max();
 
   void ensure_rows(std::size_t rows);
   /// Clears and relaxes choice row `i` from the current value row, exactly
@@ -154,6 +158,12 @@ class DeltaSolver {
   void drop_checkpoints_to(std::size_t count);
   /// Reads the optimal solution off the retained table into solution_.
   void select();
+  /// Resident penalties summed in residual order, recomputed on every call:
+  /// FrameTaskSet accumulates a cold solve's total the same way, and float
+  /// addition is order-sensitive, so an incrementally maintained sum could
+  /// drift from the cold solve's bits. Mutations keep it finite (a finite
+  /// total keeps every DP value and the selected objective finite too).
+  double penalty_total() const;
   /// energy(work_per_cycle * cycles) through the retained memo — the same
   /// computation RejectionProblem::energy_of_cycles performs.
   double energy_of(Cycles cycles);

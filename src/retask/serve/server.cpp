@@ -12,6 +12,7 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <ostream>
 #include <thread>
@@ -202,6 +203,9 @@ std::string_view ServeSession::handle(std::string_view request) {
     }
   } catch (const Error& error) {
     return fail(error.what());
+  } catch (const std::bad_alloc&) {
+    resource_exhausted_ = true;
+    return fail("resource out of memory");
   }
   return reply_;
 }
@@ -285,7 +289,12 @@ class ReplyWriter {
           }
         }
         lock.lock();
-        spare_.push_back(std::move(reply));
+        // Recycling is an optimization: a buffer that cannot be kept is
+        // dropped rather than let bad_alloc escape the thread.
+        try {
+          spare_.push_back(std::move(reply));
+        } catch (const std::bad_alloc&) {
+        }
       }
       if (failure_ == nullptr) out.flush();  // one flush per drained burst
     }
@@ -332,8 +341,11 @@ ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession&
     }
   };
 
+  const auto session_over = [&session] {
+    return session.closed() || session.resource_exhausted();
+  };
   bool open = true;
-  while (open && !session.closed() && next_frame()) {
+  while (open && !session_over() && next_frame()) {
     std::uint64_t batch_frames = 0;
     while (true) {
       const auto start = std::chrono::steady_clock::now();
@@ -344,7 +356,7 @@ ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession&
       ++stats.requests;
       ++batch_frames;
       emit(reply);
-      if (session.closed() || batch_frames >= max_batch) break;
+      if (session_over() || batch_frames >= max_batch) break;
       // Drain whatever the client already buffered before blocking again —
       // a pipelined burst is solved back-to-back with one wakeup.
       if (in.rdbuf() == nullptr || in.rdbuf()->in_avail() <= 0) break;

@@ -25,6 +25,9 @@
 // untouched; the session keeps serving. A malformed *frame* (truncated, or a
 // length prefix beyond the protocol cap) desynchronizes the byte stream, so
 // it ends the session instead, after a final `err protocol <reason>` reply.
+// An allocation failure inside a request (a table grow the process cannot
+// back) may leave the resident set half updated, so it too ends the
+// session, after a final `err resource <reason>` reply.
 //
 // run_serve_loop pumps frames between two streams: requests are drained in
 // batches (everything already buffered is processed back-to-back before the
@@ -68,6 +71,10 @@ class ServeSession {
   std::uint64_t requests() const { return requests_; }
   /// True once a `bye` request was answered; the pump stops reading.
   bool closed() const { return closed_; }
+  /// True once a request failed to allocate and was answered `err
+  /// resource ...`; the session answers nothing more (its resident set may
+  /// be half updated) and the pump stops reading.
+  bool resource_exhausted() const { return resource_exhausted_; }
 
  private:
   void append_double(double value);
@@ -78,6 +85,7 @@ class ServeSession {
   std::string reply_;
   std::uint64_t requests_ = 0;
   bool closed_ = false;
+  bool resource_exhausted_ = false;
 };
 
 /// Pump outcome plus a log2(ns) latency histogram over per-request handle
@@ -105,11 +113,12 @@ struct ServeLoopOptions {
   bool async_replies = true;
 };
 
-/// Reads framed requests from `in` until end of stream, a `bye` reply or a
-/// malformed frame, answering each through `session` onto `out`. A
-/// malformed frame ends the session with a final `err protocol <reason>`
-/// reply and stats.protocol_error set; it is not thrown. Returns the pump
-/// stats. Rethrows a reply write failure once the writer thread is joined.
+/// Reads framed requests from `in` until end of stream, a `bye` reply, an
+/// `err resource` reply or a malformed frame, answering each through
+/// `session` onto `out`. A malformed frame ends the session with a final
+/// `err protocol <reason>` reply and stats.protocol_error set; it is not
+/// thrown. Returns the pump stats. Rethrows a reply write failure once the
+/// writer thread is joined.
 ServeLoopStats run_serve_loop(std::istream& in, std::ostream& out, ServeSession& session,
                               const ServeLoopOptions& options = {});
 

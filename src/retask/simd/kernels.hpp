@@ -50,7 +50,17 @@ struct KernelTable {
   ///     cand = row[w - shift] + add
   ///     if cand > row[w]: row[w] = cand; take_row[w/64] |= 1 << (w%64)
   /// Requires lo >= shift and hi >= lo - 1 (empty when hi < lo). Unreachable
-  /// cells hold -inf; `-inf + add == -inf` keeps them inert.
+  /// cells hold -inf; `-inf + add == -inf` keeps them inert. Every read
+  /// `row[w - shift]` sees the cell's value from before the call (the
+  /// descending order writes w only after every cell above it), and a take
+  /// bit is only ever set, never cleared, so bits already in take_row stay.
+  /// A vector body may process a chunk of cells at once provided it issues
+  /// every load of the chunk before any store (with shift below the chunk
+  /// width a source cell lies inside the chunk), may store every cell back
+  /// unconditionally (an unimproved cell rewrites its own bits), and may
+  /// collect a word's choice bits in a register and OR them into
+  /// take_row[w / 64] once; take_row can point anywhere inside a larger
+  /// bitset (the lockstep lanes pass a word offset).
   void (*relax_desc_f64)(double* row, std::uint64_t* take_row, std::size_t shift, std::size_t lo,
                          std::size_t hi, double add);
 
@@ -83,22 +93,6 @@ struct KernelTable {
   /// `EnergyCurve::energy`. Requires 0 <= cycles[i] < 2^52.
   void (*energy_hull_cycles)(const HullEnergyParams& params, const std::int64_t* cycles,
                              double* out, std::size_t n);
-
-  /// Lane-interleaved knapsack relaxation over `lanes` independent DP rows
-  /// (the lockstep batch solver): cell (w, lane) lives at row[w * lanes +
-  /// lane] and its choice bit at bit w * lanes + lane of take_row. For every
-  /// lane with active[lane] != 0:
-  ///   for w = hi[lane] down to lo[lane]:
-  ///     cand = row[(w - shift[lane]) * lanes + lane] + add[lane]
-  ///     if cand > row[w * lanes + lane]: write cell + choice bit
-  /// Lanes touch disjoint strided cells, so any interleaving of lanes
-  /// produces identical bits; the scalar body runs lane-major, vector
-  /// implementations run w-major across lanes. Requires lo[lane] >=
-  /// shift[lane] per active lane; `lanes` is typically 4 or 8.
-  void (*relax_desc_f64_lanes)(double* row, std::uint64_t* take_row, std::size_t lanes,
-                               const std::size_t* shift, const std::size_t* lo,
-                               const std::size_t* hi, const double* add,
-                               const unsigned char* active);
 
   /// Out-of-place relaxation over one span (the wavefront DP tiles):
   ///   for w in [lo, hi]:

@@ -2,7 +2,9 @@
 // the relaxations and scans. The hull energy batch keeps the scalar body
 // (the heavy masking does not pay at 2 lanes). Untested in x86 CI; the
 // structure mirrors the SSE2/AVX2 backends and the same equivalence tests
-// gate it on ARM hosts.
+// gate it on ARM hosts. One exception: the f64 relax here still branches on
+// "any lane improved" per vector; the branch-free 8-cell form of the x86
+// bodies has not been built or timed on an ARM host.
 #include "retask/simd/kernels.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -123,10 +125,8 @@ std::uint64_t neon_select_mask_f64(const double* kept, std::size_t n, double tot
 const KernelTable* neon_table() noexcept {
   static const KernelTable table{
       &neon_relax_desc_f64,      &neon_relax_desc_i64,       &scalar_argmax_f64,
-      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles,
-      // No 2-lane win for the interleaved gather pattern; keep the scalar
-      // body (bit-identity is then trivial).
-      &scalar_relax_desc_f64_lanes, &neon_relax_out_f64,     &neon_select_mask_f64,
+      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles, &neon_relax_out_f64,
+      &neon_select_mask_f64,
       // The select-scan's decision walk is serial; at 2 lanes the branch-free
       // precompute does not pay, so keep the scalar body (trivially
       // bit-identical).

@@ -10,6 +10,7 @@
 
 #include <emmintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -55,22 +56,42 @@ void sse2_relax_out_f64(const double* prev, double* cur, std::uint64_t* take_row
 
 void sse2_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift, std::size_t lo,
                          std::size_t hi, double add) {
-  const __m128d add_v = _mm_set1_pd(add);
-  std::size_t w = hi + 1;  // exclusive upper end of the unprocessed range
-  while (w >= lo + kLanes) {
-    const std::size_t base = w - kLanes;
-    const __m128d src = _mm_loadu_pd(row + base - shift);
-    const __m128d dst = _mm_loadu_pd(row + base);
-    const __m128d cand = _mm_add_pd(src, add_v);
-    const __m128d improved = _mm_cmpgt_pd(cand, dst);
-    const int bits = _mm_movemask_pd(improved);
-    if (bits != 0) {
-      _mm_storeu_pd(row + base, select_pd(dst, cand, improved));
-      or_take_bits(take_row, base, static_cast<unsigned>(bits));
-    }
-    w = base;
+  // Same structure as the AVX2 body: 8-aligned chunks (here four 2-lane
+  // vectors) with every load before any store, unconditional stores, and
+  // one take_row write per 64-cell word; the ragged ends run scalar.
+  const std::size_t vec_lo = (lo + 7) & ~std::size_t{7};
+  const std::size_t vec_hi = (hi + 1) & ~std::size_t{7};
+  if (vec_hi <= vec_lo) {
+    scalar_relax_desc_f64(row, take_row, shift, lo, hi, add);
+    return;
   }
-  if (w > lo) scalar_relax_desc_f64(row, take_row, shift, lo, w - 1, add);
+  if (vec_hi <= hi) scalar_relax_desc_f64(row, take_row, shift, vec_hi, hi, add);
+  const __m128d add_v = _mm_set1_pd(add);
+  std::size_t end = vec_hi;
+  while (end > vec_lo) {
+    const std::size_t word = (end - 1) >> 6;
+    const std::size_t stop = std::max(word << 6, vec_lo);
+    std::uint64_t acc = 0;
+    for (std::size_t base = end; base > stop;) {
+      base -= 8;
+      __m128d cand[4];
+      __m128d dst[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        cand[k] = _mm_add_pd(_mm_loadu_pd(row + base + 2 * k - shift), add_v);
+        dst[k] = _mm_loadu_pd(row + base + 2 * k);
+      }
+      unsigned bits = 0;
+      for (std::size_t k = 0; k < 4; ++k) {
+        const __m128d improved = _mm_cmpgt_pd(cand[k], dst[k]);
+        _mm_storeu_pd(row + base + 2 * k, select_pd(dst[k], cand[k], improved));
+        bits |= static_cast<unsigned>(_mm_movemask_pd(improved)) << (2 * k);
+      }
+      acc |= static_cast<std::uint64_t>(bits) << (base & 63);
+    }
+    take_row[word] |= acc;
+    end = stop;
+  }
+  if (vec_lo > lo) scalar_relax_desc_f64(row, take_row, shift, lo, vec_lo - 1, add);
 }
 
 std::uint64_t sse2_select_mask_f64(const double* kept, std::size_t n, double total,
@@ -200,11 +221,8 @@ std::size_t sse2_argmin_strided_f64(const double* values, std::size_t n, std::si
 const KernelTable* sse2_table() noexcept {
   static const KernelTable table{
       &sse2_relax_desc_f64,    &scalar_relax_desc_i64,      &sse2_argmax_f64,
-      &sse2_argmin_strided_f64, &scalar_energy_hull_cycles,
-      // SSE2 has no masked 64-bit gather for the lane-interleaved loads;
-      // the lane relaxation keeps the scalar body.
-      &scalar_relax_desc_f64_lanes, &sse2_relax_out_f64,     &sse2_select_mask_f64,
-      &sse2_select_scan_f64,
+      &sse2_argmin_strided_f64, &scalar_energy_hull_cycles, &sse2_relax_out_f64,
+      &sse2_select_mask_f64,   &sse2_select_scan_f64,
   };
   return &table;
 }

@@ -1,17 +1,13 @@
 // Tests for the lockstep batch solver (batch/lockstep.hpp): solve_batch must
 // reproduce per-instance base.solve() bit for bit on every backend, through
 // shape grouping, ragged tails and lane-count fallbacks; the harness path
-// that feeds it must stay job-count invariant; and the lane-interleaved
-// relaxation kernel must match the scalar reference on every backend (it has
-// no solver consumer since the lane-major fill landed, so the kernel is
-// pinned here directly).
+// that feeds it must stay job-count invariant.
 #include "retask/batch/lockstep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -25,13 +21,10 @@
 #include "retask/exp/harness.hpp"
 #include "retask/obs/metrics.hpp"
 #include "retask/simd/backend.hpp"
-#include "retask/simd/kernels.hpp"
 #include "test_util.hpp"
 
 namespace retask {
 namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// Every backend the host can actually execute (always includes scalar).
 std::vector<simd::Backend> available_backends() {
@@ -254,60 +247,6 @@ TEST(BatchLockstep, HarnessLockstepMatchesUnbatchedRuns) {
     SCOPED_TRACE(batched[0][a].name);
     EXPECT_EQ(batched[0][a].ratio.mean(), plain[0][a].ratio.mean());
     EXPECT_EQ(batched[0][a].objective.mean(), plain[0][a].objective.mean());
-  }
-}
-
-/// Direct pin of the lane-interleaved relaxation kernel against the scalar
-/// reference on every backend: random interleaved rows, per-lane bounds and
-/// inactive lanes, choice bits included.
-TEST(BatchLockstep, RelaxDescLanesKernelMatchesScalarEveryBackend) {
-  Rng rng(0xBA7C4);
-  const simd::KernelTable& scalar = simd::kernels_for(simd::Backend::kScalar);
-  for (const simd::Backend backend : available_backends()) {
-    const simd::KernelTable& table = simd::kernels_for(backend);
-    for (const std::size_t width : {5u, 64u, 65u, 130u}) {
-      for (const std::size_t lanes : {4u, 8u}) {
-        SCOPED_TRACE(std::string(simd::to_string(backend)) + " width " +
-                     std::to_string(width) + " lanes " + std::to_string(lanes));
-        for (int round = 0; round < 16; ++round) {
-          std::vector<double> row(width * lanes);
-          for (double& v : row) {
-            v = rng.uniform() < 0.25 ? kNegInf : rng.uniform(-50.0, 50.0);
-          }
-          const std::size_t words = (width * lanes + 63) / 64;
-          std::vector<std::uint64_t> take(words, 0);
-          std::vector<std::size_t> shift(lanes), lo(lanes), hi(lanes);
-          std::vector<double> add(lanes);
-          std::vector<unsigned char> active(lanes);
-          for (std::size_t k = 0; k < lanes; ++k) {
-            shift[k] = static_cast<std::size_t>(
-                rng.uniform_int(1, static_cast<std::int64_t>(width) - 1));
-            lo[k] = static_cast<std::size_t>(
-                rng.uniform_int(static_cast<std::int64_t>(shift[k]),
-                                static_cast<std::int64_t>(width) - 1));
-            hi[k] = static_cast<std::size_t>(
-                rng.uniform_int(static_cast<std::int64_t>(lo[k]),
-                                static_cast<std::int64_t>(width) - 1));
-            add[k] = rng.uniform(0.0, 10.0);
-            active[k] = rng.uniform() < 0.75 ? 1 : 0;
-          }
-          std::vector<double> want_row = row;
-          std::vector<std::uint64_t> want_take = take;
-          scalar.relax_desc_f64_lanes(want_row.data(), want_take.data(), lanes, shift.data(),
-                                      lo.data(), hi.data(), add.data(), active.data());
-          std::vector<double> got_row = row;
-          std::vector<std::uint64_t> got_take = take;
-          table.relax_desc_f64_lanes(got_row.data(), got_take.data(), lanes, shift.data(),
-                                     lo.data(), hi.data(), add.data(), active.data());
-          for (std::size_t i = 0; i < got_row.size(); ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(got_row[i]),
-                      std::bit_cast<std::uint64_t>(want_row[i]))
-                << "cell " << i;
-          }
-          ASSERT_EQ(got_take, want_take);
-        }
-      }
-    }
   }
 }
 

@@ -15,6 +15,8 @@
 #include <vector>
 
 #ifdef __unix__
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -132,6 +134,27 @@ TEST(ServeSession, MalformedRequestsAnswerErrAndLeaveStateUntouched) {
   // The resident set survived every failure.
   const std::string query(session.handle("query"));
   EXPECT_TRUE(query.rfind("ok query resident=1 accepted=1/1 ", 0) == 0) << query;
+}
+
+TEST(ServeSession, AdmitsThatWouldOverflowTheResidentTotalsAreRefused) {
+  // Each task is valid alone; together their cycle or penalty totals would
+  // wrap (an int64 cycle sum) or reach +inf (a double penalty sum, which no
+  // exact solve can select over). The refusal must come before the
+  // resident set changes, like every other `err` reply.
+  ServeSession session = make_session();
+  const auto reply = [&session](std::string_view request) {
+    return std::string(session.handle(request));
+  };
+  EXPECT_TRUE(reply("admit 1 50 1e308").rfind("ok admit id=1 ", 0) == 0);
+  EXPECT_TRUE(reply("admit 2 4611686018427387904 1").rfind("ok admit id=2 ", 0) == 0);
+  EXPECT_EQ(reply("admit 3 4611686018427387904 1"),
+            "err DeltaSolver::admit: resident cycle total would overflow");
+  EXPECT_EQ(reply("admit 4 60 1e308"),
+            "err DeltaSolver::admit: resident penalty total would overflow");
+  EXPECT_EQ(reply("reprice 2 1e308"),
+            "err DeltaSolver::reprice: resident penalty total would overflow");
+  EXPECT_TRUE(reply("query").rfind("ok query resident=2 accepted=1/2 ", 0) == 0);
+  EXPECT_TRUE(reply("reprice 2 2").rfind("ok reprice id=2 ", 0) == 0);
 }
 
 TEST(ServeSession, ReplyPrecisionBoundsFloatFields) {
@@ -378,6 +401,22 @@ std::string read_reply(int fd) {
   return payload;
 }
 
+/// Waits up to `seconds` for `pid` to exit (killing it past the deadline)
+/// and returns its raw wait status.
+int reap(pid_t pid, double seconds) {
+  int status = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return status;
+}
+
 TEST(ServeDaemon, SocketClientThatVanishesDoesNotStopTheDaemon) {
   const std::string base = ::testing::TempDir() + "retask_sock_" + std::to_string(::getpid());
   const std::string path = base + ".sock";
@@ -418,19 +457,145 @@ TEST(ServeDaemon, SocketClientThatVanishesDoesNotStopTheDaemon) {
   EXPECT_EQ(reply, "ok ping");
 
   // `bye` shuts the daemon down; reap it (or kill it if it hangs).
-  int status = 0;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (::waitpid(daemon, &status, WNOHANG) == 0) {
-    if (std::chrono::steady_clock::now() > deadline) {
-      ::kill(daemon, SIGKILL);
-      ::waitpid(daemon, &status, 0);
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  const int status = reap(daemon, 10.0);
   const std::string err = slurp(err_path);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status << ": " << err;
   EXPECT_NE(err.find("serve: client dropped: "), std::string::npos) << err;
+  std::remove(err_path.c_str());
+  std::remove(path.c_str());
+}
+
+// An allocation failure mid-request (here a table grow past the address
+// space limit) ends only its session, with a final `err resource` reply:
+// the pipe daemon exits 1 without aborting, and the socket daemon drops
+// that client and serves the next. Sanitizer runtimes reserve far more
+// address space than any limit that keeps this test fast, so it is skipped
+// there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RETASK_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RETASK_TEST_SANITIZED 1
+#endif
+#endif
+
+/// Address-space limit for the daemons below: room for a session at
+/// --capacity 1000000 (two 8 MB rows) and a few hundred admissions, not for
+/// the ~2000 the input asks for.
+constexpr rlim_t kDaemonAddressSpace = rlim_t{192} << 20;
+const char* const kLargeCapacity = "1000000";
+
+std::vector<std::string> growing_admits(int count) {
+  std::vector<std::string> requests;
+  for (int id = 1; id <= count; ++id) {
+    requests.push_back("admit " + std::to_string(id) + " " +
+                       std::to_string(1000 + (id * 7919) % 50000) + " " +
+                       std::to_string(0.5 + 0.25 * (id % 13)));
+  }
+  return requests;
+}
+
+/// Forks `retask_serve <args>` under the address-space limit with stdin,
+/// stdout and stderr redirected to the given files ("" keeps the parent's).
+pid_t spawn_limited_daemon(const std::vector<std::string>& args, const std::string& in_path,
+                           const std::string& out_path, const std::string& err_path) {
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  const auto redirect = [](const std::string& path, int flags, int fd) {
+    if (path.empty()) return;
+    const int opened = ::open(path.c_str(), flags, 0644);
+    if (opened < 0 || ::dup2(opened, fd) < 0) ::_exit(126);
+    ::close(opened);
+  };
+  redirect(in_path, O_RDONLY, 0);
+  redirect(out_path, O_WRONLY | O_CREAT | O_TRUNC, 1);
+  redirect(err_path, O_WRONLY | O_CREAT | O_TRUNC, 2);
+  const rlimit limit{kDaemonAddressSpace, kDaemonAddressSpace};
+  if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(125);
+  std::vector<char*> argv{const_cast<char*>(RETASK_SERVE_BINARY)};
+  for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
+  argv.push_back(nullptr);
+  ::execv(RETASK_SERVE_BINARY, argv.data());
+  ::_exit(127);
+}
+
+TEST(ServeDaemon, OutOfMemoryEndsThePipeSessionWithAResourceReply) {
+#ifdef RETASK_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes need more address space than the limit allows";
+#endif
+  const std::string base = ::testing::TempDir() + "retask_oom_" + std::to_string(::getpid());
+  {
+    std::ofstream file(base + ".in", std::ios::binary);
+    file << frames_of(growing_admits(2000));
+  }
+  for (const std::string mode : {"", "--sync"}) {
+    SCOPED_TRACE("mode '" + mode + "'");
+    std::vector<std::string> args{"--capacity", kLargeCapacity};
+    if (!mode.empty()) args.push_back(mode);
+    const pid_t daemon = spawn_limited_daemon(args, base + ".in", base + ".out", base + ".err");
+    ASSERT_GE(daemon, 0);
+    const int status = reap(daemon, 60.0);
+    const std::string err = slurp(base + ".err");
+    ASSERT_TRUE(WIFEXITED(status)) << "status " << status << ": " << err;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << err;
+    EXPECT_NE(err.find("out of memory"), std::string::npos) << err;
+    std::istringstream out(slurp(base + ".out"));
+    const std::vector<std::string> replies = read_all_frames(out);
+    ASSERT_GE(replies.size(), 2u);
+    ASSERT_LT(replies.size(), 2000u) << "the limit never bit";
+    for (std::size_t i = 0; i + 1 < replies.size(); ++i) {
+      ASSERT_TRUE(replies[i].rfind("ok admit ", 0) == 0) << i << ": " << replies[i];
+    }
+    EXPECT_EQ(replies.back(), "err resource out of memory");
+  }
+  for (const char* ext : {".in", ".out", ".err"}) std::remove((base + ext).c_str());
+}
+
+TEST(ServeDaemon, OutOfMemoryDropsOnlyThatSocketClient) {
+#ifdef RETASK_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes need more address space than the limit allows";
+#endif
+  const std::string base = ::testing::TempDir() + "retask_oom_sock_" + std::to_string(::getpid());
+  const std::string path = base + ".sock";
+  const std::string err_path = base + ".err";
+  const pid_t daemon =
+      spawn_limited_daemon({"--socket", path, "--capacity", kLargeCapacity}, "", "", err_path);
+  ASSERT_GE(daemon, 0);
+
+  // Client 1 admits until the daemon answers `err resource`, then sees the
+  // connection close.
+  const int first = connect_client(path, 10.0);
+  EXPECT_GE(first, 0);
+  std::string last;
+  if (first >= 0) {
+    timeval timeout{30, 0};
+    ::setsockopt(first, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    for (const std::string& request : growing_admits(2000)) {
+      if (!write_all(first, frames_of({request}))) break;
+      last = read_reply(first);
+      if (last.rfind("ok admit ", 0) != 0) break;
+    }
+    EXPECT_EQ(read_reply(first), "");  // the daemon closed this connection
+    ::close(first);
+  }
+  EXPECT_EQ(last, "err resource out of memory");
+
+  // Client 2 gets a fresh session.
+  const int second = connect_client(path, 10.0);
+  std::string reply;
+  if (second >= 0) {
+    timeval timeout{10, 0};
+    ::setsockopt(second, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    EXPECT_TRUE(write_all(second, frames_of({"admit 1 100 2.5", "bye"})));
+    reply = read_reply(second);
+    ::close(second);
+  }
+  EXPECT_TRUE(reply.rfind("ok admit id=1 ", 0) == 0) << reply;
+
+  const int status = reap(daemon, 10.0);
+  const std::string err = slurp(err_path);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status << ": " << err;
+  EXPECT_NE(err.find("serve: client dropped: out of memory"), std::string::npos) << err;
   std::remove(err_path.c_str());
   std::remove(path.c_str());
 }

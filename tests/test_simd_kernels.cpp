@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "retask/common/error.hpp"
@@ -104,8 +105,36 @@ TEST(SimdBackend, ScopedOverrideNestsAndRestores) {
   EXPECT_EQ(simd::active_backend(), ambient);
 }
 
+/// Runs one relax_desc_f64 call through the scalar reference and `table`
+/// on copies of the same row and take bitset (`take` may be wider than the
+/// row; the call sees it from word `word_offset` on, as a lockstep lane
+/// does) and compares both results bit for bit, untouched words included.
+::testing::AssertionResult relax_f64_matches(const simd::KernelTable& table,
+                                             const std::vector<double>& row,
+                                             const std::vector<std::uint64_t>& take,
+                                             std::size_t word_offset, std::size_t shift,
+                                             std::size_t lo, std::size_t hi, double add) {
+  std::vector<double> row_a = row;
+  std::vector<double> row_b = row;
+  std::vector<std::uint64_t> take_a = take;
+  std::vector<std::uint64_t> take_b = take;
+  simd::scalar_table()->relax_desc_f64(row_a.data(), take_a.data() + word_offset, shift, lo, hi,
+                                       add);
+  table.relax_desc_f64(row_b.data(), take_b.data() + word_offset, shift, lo, hi, add);
+  for (std::size_t w = 0; w < row.size(); ++w) {
+    if (!bits_equal(row_a[w], row_b[w])) return bits_equal(row_a[w], row_b[w]) << " at w=" << w;
+  }
+  if (take_a != take_b) return ::testing::AssertionFailure() << "take bits differ";
+  return ::testing::AssertionSuccess();
+}
+
+std::string relax_case(simd::Backend backend, std::size_t shift, std::size_t lo,
+                       std::size_t hi) {
+  return std::string(simd::to_string(backend)) + " shift=" + std::to_string(shift) +
+         " lo=" + std::to_string(lo) + " hi=" + std::to_string(hi);
+}
+
 TEST(SimdKernels, RelaxF64MatchesScalarAtEveryWidth) {
-  const simd::KernelTable& scalar = *simd::scalar_table();
   for (const simd::Backend backend : available_backends()) {
     const simd::KernelTable& table = simd::kernels_for(backend);
     for (const std::size_t width : kWidths) {
@@ -114,23 +143,11 @@ TEST(SimdKernels, RelaxF64MatchesScalarAtEveryWidth) {
         const auto shift = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(width) - 1));
         const std::vector<double> base = random_f64_row(rng, width);
-        const std::size_t words = (width + 63) / 64;
-        std::vector<std::uint64_t> base_take(words);
+        std::vector<std::uint64_t> base_take((width + 63) / 64);
         for (auto& w : base_take) w = rng();
-        const double add = rng.uniform(0.1, 20.0);
-
-        std::vector<double> row_a = base;
-        std::vector<double> row_b = base;
-        std::vector<std::uint64_t> take_a = base_take;
-        std::vector<std::uint64_t> take_b = base_take;
-        scalar.relax_desc_f64(row_a.data(), take_a.data(), shift, shift, width - 1, add);
-        table.relax_desc_f64(row_b.data(), take_b.data(), shift, shift, width - 1, add);
-        for (std::size_t w = 0; w < width; ++w) {
-          ASSERT_TRUE(bits_equal(row_a[w], row_b[w]))
-              << simd::to_string(backend) << " width=" << width << " shift=" << shift
-              << " w=" << w;
-        }
-        ASSERT_EQ(take_a, take_b) << simd::to_string(backend) << " width=" << width;
+        ASSERT_TRUE(relax_f64_matches(table, base, base_take, 0, shift, shift, width - 1,
+                                      rng.uniform(0.1, 20.0)))
+            << relax_case(backend, shift, shift, width - 1);
       }
     }
   }
@@ -145,6 +162,116 @@ TEST(SimdKernels, RelaxF64EmptyRangeIsANoop) {
     table.relax_desc_f64(row.data(), take.data(), 2, 2, 1, 5.0);
     EXPECT_EQ(row, (std::vector<double>{1.0, 2.0, 3.0}));
     EXPECT_EQ(take[0], 0u);
+  }
+}
+
+TEST(SimdKernels, RelaxF64MatchesScalarOnArbitrarySubranges) {
+  // lo > shift and hi < width - 1, empty ranges (hi == lo - 1) included,
+  // small shifts (a source cell inside the vector chunk) and shifts around
+  // one choice word, over pre-set take bits.
+  const std::vector<std::size_t> shifts = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65};
+  for (const simd::Backend backend : available_backends()) {
+    const simd::KernelTable& table = simd::kernels_for(backend);
+    for (const std::size_t width : {9u, 64u, 70u, 130u, 300u, 1000u}) {
+      Rng rng(0x5B7A6E ^ (width * 4u + static_cast<std::size_t>(backend)));
+      for (const std::size_t shift : shifts) {
+        if (shift >= width) continue;
+        for (int rep = 0; rep < 24; ++rep) {
+          const auto lo = static_cast<std::size_t>(rng.uniform_int(
+              static_cast<std::int64_t>(shift), static_cast<std::int64_t>(width) - 1));
+          const auto hi = rep % 6 == 0 ? lo - 1
+                                       : static_cast<std::size_t>(rng.uniform_int(
+                                             static_cast<std::int64_t>(lo),
+                                             static_cast<std::int64_t>(width) - 1));
+          const std::vector<double> row = random_f64_row(rng, width);
+          std::vector<std::uint64_t> take((width + 63) / 64);
+          for (auto& word : take) word = rng() & rng();
+          ASSERT_TRUE(relax_f64_matches(table, row, take, 0, shift, lo, hi,
+                                        rng.uniform(0.1, 20.0)))
+              << relax_case(backend, shift, lo, hi);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, RelaxF64MatchesScalarAtEveryRangeEndResidue) {
+  // lo and hi + 1 at every residue mod 64 (hence mod 8): ranges inside one
+  // choice word (empty when both ends coincide) and ranges spanning two.
+  constexpr std::size_t kWidth = 320;
+  for (const simd::Backend backend : available_backends()) {
+    const simd::KernelTable& table = simd::kernels_for(backend);
+    Rng rng(0xE5D1E ^ static_cast<std::size_t>(backend));
+    const std::vector<double> row = random_f64_row(rng, kWidth);
+    std::vector<std::uint64_t> take(kWidth / 64);
+    for (auto& word : take) word = rng() & rng();
+    for (const std::size_t shift : {0u, 3u, 8u, 65u}) {
+      for (std::size_t lo_residue = 0; lo_residue < 64; ++lo_residue) {
+        const std::size_t lo = 128 + lo_residue;
+        for (std::size_t end_residue = 0; end_residue < 64; ++end_residue) {
+          for (const std::size_t end_word : {128u, 256u}) {
+            const std::size_t end = end_word + end_residue;  // hi + 1
+            if (end < lo) continue;
+            ASSERT_TRUE(relax_f64_matches(table, row, take, 0, shift, lo, end - 1, 7.5))
+                << relax_case(backend, shift, lo, end - 1);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, RelaxF64WritesOnlyItsOwnWordsAtAWordOffset) {
+  // The lockstep lanes pass row_words(i) + word_offset: the kernel must
+  // index bits from that pointer and leave the words around it alone.
+  constexpr std::size_t kWidth = 200;
+  constexpr std::size_t kOffset = 3;
+  for (const simd::Backend backend : available_backends()) {
+    const simd::KernelTable& table = simd::kernels_for(backend);
+    Rng rng(0x0FF5E7 ^ static_cast<std::size_t>(backend));
+    for (int rep = 0; rep < 32; ++rep) {
+      const std::vector<double> row = random_f64_row(rng, kWidth);
+      std::vector<std::uint64_t> take(kOffset + (kWidth + 63) / 64 + 2);
+      for (auto& word : take) word = rng() & rng();
+      const auto shift = static_cast<std::size_t>(rng.uniform_int(0, 40));
+      const auto lo = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(shift), kWidth - 1));
+      const auto hi = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(lo), kWidth - 1));
+      ASSERT_TRUE(relax_f64_matches(table, row, take, kOffset, shift, lo, hi,
+                                    rng.uniform(0.1, 20.0)))
+          << relax_case(backend, shift, lo, hi);
+    }
+  }
+}
+
+TEST(SimdKernels, RelaxF64MatchesScalarOnAWideRowWithUnpredictableImprovements) {
+  // W = 10001 with roughly 40 % of the cells improving in no pattern: as in
+  // a real exact-DP fill, no branch on "did any lane improve" can predict
+  // it. Row values are i.i.d.; the negative add and the -inf sprinkle set
+  // the improving share.
+  constexpr std::size_t kWidth = 10001;
+  for (const simd::Backend backend : available_backends()) {
+    const simd::KernelTable& table = simd::kernels_for(backend);
+    Rng rng(0x10001 ^ static_cast<std::size_t>(backend));
+    for (const std::size_t shift : {1u, 7u, 37u, 613u}) {
+      std::vector<double> row(kWidth);
+      for (double& v : row) v = rng.uniform() < 0.1 ? -kInf : rng.uniform(0.0, 100.0);
+      const std::vector<std::uint64_t> take((kWidth + 63) / 64, 0);
+      const double add = -12.5;
+      ASSERT_TRUE(relax_f64_matches(table, row, take, 0, shift, shift, kWidth - 1, add))
+          << relax_case(backend, shift, shift, kWidth - 1);
+      std::vector<double> probe = row;
+      std::vector<std::uint64_t> bits = take;
+      table.relax_desc_f64(probe.data(), bits.data(), shift, shift, kWidth - 1, add);
+      std::size_t improved = 0;
+      for (const std::uint64_t word : bits) {
+        improved += static_cast<std::size_t>(std::popcount(word));
+      }
+      const double share = static_cast<double>(improved) / static_cast<double>(kWidth - shift);
+      EXPECT_GT(share, 0.3) << shift;
+      EXPECT_LT(share, 0.5) << shift;
+    }
   }
 }
 

@@ -627,6 +627,33 @@ std::vector<Workload> build_workloads(int jobs) {
                            1.0 + static_cast<double>(t));
     }
   });
+  {
+    // The body above relaxes whole rows without the reachability bound, so
+    // whole chunks behave alike (mostly cells that stay -inf) and a vector
+    // body's branch on "did any lane improve" predicts well there. This
+    // pair replays one generator-drawn exact-DP fill instead (96 tasks,
+    // W = 10001, the cold solve's reachability bounds), where two thirds of
+    // the touched cells improve in no fixed pattern.
+    const auto problem = std::make_shared<RejectionProblem>(scenario(96, 1.3, 10000.0, 41));
+    simd_pair("kernel_relax_f64_fill", [problem](obs::Registry&) {
+      const auto cap = static_cast<std::size_t>(
+          std::min(problem->cycle_capacity(), problem->tasks().total_cycles()));
+      std::vector<double> row(cap + 1, -std::numeric_limits<double>::infinity());
+      row[0] = 0.0;
+      const std::size_t words = (cap + 64) / 64;
+      std::vector<std::uint64_t> take(problem->size() * words, 0);
+      const simd::KernelTable& table = simd::kernels();
+      std::size_t reach = 0;
+      for (std::size_t i = 0; i < problem->size(); ++i) {
+        const FrameTask& task = problem->tasks()[i];
+        const auto ci = static_cast<std::size_t>(task.cycles);
+        if (ci > cap) continue;
+        const std::size_t top = std::min(cap, reach + ci);
+        table.relax_desc_f64(row.data(), take.data() + i * words, ci, ci, top, task.penalty);
+        reach = top;
+      }
+    });
+  }
   simd_pair("kernel_relax_i64", [](obs::Registry&) {
     constexpr std::size_t kWidth = 1 << 15;
     std::vector<std::int64_t> rej(kWidth, -1);

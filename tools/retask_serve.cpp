@@ -88,9 +88,10 @@ framing helpers (exclusive; translate text <-> frames for pipelines):
 requests (one per frame): admit <id> <cycles> <penalty> | remove <id> |
 reprice <id> <penalty> | query | stats | ping | bye
 
-exit status: 0 session ended (end of input or bye); 1 runtime failure;
-2 bad flags; 3 malformed frame (truncated, or longer than the protocol
-cap) — the last reply is `err protocol <reason>`
+exit status: 0 session ended (end of input or bye); 1 runtime failure,
+including a request that ran out of memory — the last reply is then
+`err resource <reason>`; 2 bad flags; 3 malformed frame (truncated, or
+longer than the protocol cap) — the last reply is `err protocol <reason>`
 )";
 
 /// Exit status of a pipe session that ended on a malformed frame.
@@ -225,6 +226,10 @@ int run_pipe(const ServeCliOptions& options) {
     std::cerr << "retask_serve: protocol error: " << stats.protocol_error << "\n";
     return kExitProtocolError;
   }
+  if (session.resource_exhausted()) {
+    std::cerr << "retask_serve: session ended: out of memory\n";
+    return 1;
+  }
   return 0;
 }
 
@@ -260,15 +265,16 @@ int run_socket(const ServeCliOptions& options) {
     ServeLoopOptions loop;
     loop.max_batch = options.max_batch;
     loop.async_replies = false;  // socket replies flush inline per batch
-    // A malformed frame or a failed reply write (the client went away
-    // without reading) ends this connection only; the daemon keeps
-    // accepting clients.
+    // A malformed frame, a request that ran out of memory or a failed
+    // reply write (the client went away without reading) ends this
+    // connection only; the daemon keeps accepting clients.
     try {
       const ServeLoopStats stats = run_serve_loop(in, out, session, loop);
       if (options.print_stats) print_stats(stats);
       if (!stats.protocol_error.empty()) {
         std::cerr << "serve: client dropped: " << stats.protocol_error << "\n";
       }
+      if (session.resource_exhausted()) std::cerr << "serve: client dropped: out of memory\n";
     } catch (const std::exception& error) {
       std::cerr << "serve: client dropped: " << error.what() << "\n";
     }
