@@ -22,7 +22,6 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
 std::atomic<int> g_lanes{-1};  // -1: not yet resolved from the environment
-std::atomic<int> g_fused{-1};  // -1: not yet resolved from the environment
 
 int resolve_lanes() {
   const char* env = std::getenv("RETASK_BATCH");
@@ -35,14 +34,6 @@ int resolve_lanes() {
     throw Error("RETASK_BATCH: unknown value '" + name + "' (expected off|auto|<lanes>)");
   }
   return static_cast<int>(parsed);
-}
-
-int resolve_fused() {
-  const char* env = std::getenv("RETASK_FUSED_SWEEP");
-  const std::string name = env != nullptr ? std::string(env) : std::string();
-  if (name.empty() || name == "auto") return 1;
-  if (name == "off") return 0;
-  throw Error("RETASK_FUSED_SWEEP: unknown value '" + name + "' (expected off|auto)");
 }
 
 /// Per-lane fill capacity — the single-instance solver's fill_capacity.
@@ -82,16 +73,19 @@ struct LaneTables {
 /// the capture exceeds kExportByteBudget; the captured state is
 /// bit-identical to what DeltaSolver::admit_all over the lane's task vector
 /// retains, which is exactly the DeltaSolver::adopt_table contract.
-void lockstep_fill(const std::vector<const RejectionProblem*>& chunk,
-                   const std::vector<std::size_t>& cap, LaneTables& tables,
+void lockstep_fill(const std::vector<const RejectionProblem*>& chunk, LaneTables& tables,
                    std::vector<DpTableExport>* exports) {
   const std::size_t m = chunk.size();
   const std::size_t n = chunk[0]->size();
+  tables.cap.resize(m);
   std::size_t max_cap = 0;
-  for (std::size_t k = 0; k < m; ++k) max_cap = std::max(max_cap, cap[k]);
+  for (std::size_t k = 0; k < m; ++k) {
+    tables.cap[k] = lane_cap(*chunk[k]);
+    max_cap = std::max(max_cap, tables.cap[k]);
+  }
+  const std::vector<std::size_t>& cap = tables.cap;
   const std::size_t width = max_cap + 1;
   tables.stride = (width + 63) / 64 * 64;  // whole take words per lane
-  tables.cap = cap;
   tables.arena.assign(tables.stride * m, kNegInf);
   tables.take.reset(n, tables.stride * m);
   const std::size_t stride = tables.stride;
@@ -162,30 +156,25 @@ void lockstep_fill(const std::vector<const RejectionProblem*>& chunk,
   })
 }
 
-/// Fused select over filled lane tables: sweeps rows [0, select_cap[k]] of
-/// every lane for the best objective and reconstructs each lane's accept
-/// set off the choice bits. `chunk[k]` supplies lane k's tasks and THIS
-/// point's platform — the fused-sweep caller runs one select per sweep
-/// point over a single fill, which the table's prefix property makes
-/// bit-identical to a dedicated fill at select_cap[k] (see
-/// core/exact_dp.cpp fill_table). Every lane reproduces the single-instance
-/// ExactDpSolver bit for bit: the penalty/energy sweep prunes and the
-/// choice-bit reconstruction are exactly the serial ones.
+/// Lockstep select over filled lane tables: sweeps rows [0, cap[k]] of every
+/// lane for the best objective and reconstructs each lane's accept set off
+/// the choice bits. Every lane reproduces the single-instance ExactDpSolver
+/// bit for bit: the penalty/energy sweep prunes and the choice-bit
+/// reconstruction are exactly the serial ones.
 std::vector<RejectionSolution> lockstep_select(const std::vector<const RejectionProblem*>& chunk,
-                                               const LaneTables& tables,
-                                               const std::vector<std::size_t>& select_cap) {
+                                               const LaneTables& tables) {
   const std::size_t m = chunk.size();
   const std::size_t n = chunk[0]->size();
   const std::size_t stride = tables.stride;
   const std::vector<double>& arena = tables.arena;
   const BitMatrix& take = tables.take;
+  const std::vector<std::size_t>& cap = tables.cap;
   std::size_t width = 0;
-  for (std::size_t k = 0; k < m; ++k) width = std::max(width, select_cap[k] + 1);
-  const std::vector<std::size_t>& cap = select_cap;
+  for (std::size_t k = 0; k < m; ++k) width = std::max(width, cap[k] + 1);
   const simd::KernelTable& kernels = simd::kernels();
   // Select-scan attribution: retask_bench divides this by the enclosing
-  // batch timer to report the select's share of lockstep / fused-sweep
-  // time (timers never enter the gated bench metrics).
+  // batch timer to report the select's share of lockstep time (timers never
+  // enter the gated bench metrics).
   RETASK_SCOPED_TIMER("batch.select_scan_ns");
 
   // Chunked select: the serial sweep per lane, with the energy reads of all
@@ -271,57 +260,9 @@ std::vector<RejectionSolution> lockstep_select(const std::vector<const Rejection
 /// check guarantees identical curves).
 std::vector<RejectionSolution> lockstep_exact_dp(const std::vector<const RejectionProblem*>& chunk,
                                                  std::vector<DpTableExport>* exports) {
-  const std::size_t m = chunk.size();
-  std::vector<std::size_t> cap(m);
-  for (std::size_t k = 0; k < m; ++k) cap[k] = lane_cap(*chunk[k]);
   LaneTables tables;
-  lockstep_fill(chunk, cap, tables, exports);
-  return lockstep_select(chunk, tables, cap);
-}
-
-/// One fused-sweep chunk: grid[k] points at lane k's sweep points (one task
-/// set per lane, capacities/platforms varying by point; per point, all
-/// lanes share a shape). Each lane fills ONCE at its widest point — the
-/// warm start of ExactDpSolver::solve_sweep — and every point runs one
-/// fused cross-lane select over the shared prefixes, so the sweep gets the
-/// warm-start and the lockstep energy batching simultaneously. Returns
-/// out[k][p], bit-identical to per-lane warm sweeps (and so to per-point
-/// solo solves).
-std::vector<std::vector<RejectionSolution>> lockstep_fused_sweep(
-    const std::vector<const std::vector<const RejectionProblem*>*>& grid) {
-  const std::size_t m = grid.size();
-  const std::size_t points = grid[0]->size();
-  std::vector<std::vector<std::size_t>> cap(m, std::vector<std::size_t>(points));
-  std::vector<std::size_t> fill_cap(m, 0);
-  for (std::size_t k = 0; k < m; ++k) {
-    for (std::size_t p = 0; p < points; ++p) {
-      cap[k][p] = lane_cap(*(*grid[k])[p]);
-      fill_cap[k] = std::max(fill_cap[k], cap[k][p]);
-    }
-  }
-  // The fill depends only on the task vector (cycles + penalties), never on
-  // the platform, so one fill serves every point of a lane even though the
-  // points' curves differ; the per-point energies enter at the select, which
-  // reads them through that point's problems.
-  std::vector<const RejectionProblem*> lane(m);
-  for (std::size_t k = 0; k < m; ++k) lane[k] = (*grid[k])[0];
-  LaneTables tables;
-  lockstep_fill(lane, fill_cap, tables, nullptr);
-  RETASK_COUNT("dp.warm_starts", m * (points - 1));
-  RETASK_COUNT("batch.fused_sweep_points", m * points);
-
-  std::vector<std::vector<RejectionSolution>> out(m);
-  for (std::size_t k = 0; k < m; ++k) out[k].reserve(points);
-  std::vector<std::size_t> point_cap(m);
-  for (std::size_t p = 0; p < points; ++p) {
-    for (std::size_t k = 0; k < m; ++k) {
-      lane[k] = (*grid[k])[p];
-      point_cap[k] = cap[k][p];
-    }
-    std::vector<RejectionSolution> solved = lockstep_select(lane, tables, point_cap);
-    for (std::size_t k = 0; k < m; ++k) out[k].push_back(std::move(solved[k]));
-  }
-  return out;
+  lockstep_fill(chunk, tables, exports);
+  return lockstep_select(chunk, tables);
 }
 
 /// Lockstep density greedy: per-lane density orders and feasibility
@@ -491,19 +432,6 @@ void set_lockstep_lanes(int lanes) {
   g_lanes.store(lanes, std::memory_order_release);
 }
 
-bool fused_sweep_enabled() {
-  int fused = g_fused.load(std::memory_order_acquire);
-  if (fused < 0) {
-    fused = resolve_fused();  // deterministic: a first-use race is benign
-    g_fused.store(fused, std::memory_order_release);
-  }
-  return fused != 0;
-}
-
-void set_fused_sweep_enabled(bool enabled) {
-  g_fused.store(enabled ? 1 : 0, std::memory_order_release);
-}
-
 bool same_shape(const RejectionProblem& a, const RejectionProblem& b) {
   // Platform equality (curve/work_per_cycle; see cache/sweep.hpp) plus the
   // lane-layout constraints: same task count and the single-processor form.
@@ -597,92 +525,6 @@ std::vector<RejectionSolution> BatchRejectionSolver::solve_batch(
       RETASK_COUNT("batch.lanes_filled", chunk_size);
       RETASK_COUNT("batch.padding_waste", lanes - chunk_size);
     }
-  }
-  return out;
-}
-
-std::vector<std::vector<RejectionSolution>> BatchRejectionSolver::solve_sweep_batch(
-    const std::vector<std::vector<const RejectionProblem*>>& grids) const {
-  const std::size_t count = grids.size();
-  std::vector<std::vector<RejectionSolution>> out(count);
-  std::vector<char> solved(count, 0);
-  const auto fallback = [&](std::size_t i) {
-    out[i] = base_->solve_sweep(grids[i]);
-    solved[i] = 1;
-    RETASK_COUNT("batch.sweep_fallbacks", 1);
-  };
-
-  const int lanes_cfg = config_.lanes < 0 ? lockstep_lanes() : config_.lanes;
-  if (!fused_sweep_enabled() || lanes_cfg < 2 || count < 2 ||
-      kind_of(*base_) != LockstepKind::kExactDp) {
-    for (std::size_t i = 0; i < count; ++i) fallback(i);
-    return out;
-  }
-  const auto lanes = static_cast<std::size_t>(lanes_cfg);
-
-  // A lane must be a genuine warm sweep — single-processor points carrying
-  // one task set (the fill is a function of nothing else). Anything odd
-  // takes the base fallback, which degrades the same way internally.
-  std::vector<char> eligible(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::vector<const RejectionProblem*>& instance = grids[i];
-    bool ok = !instance.empty();
-    for (std::size_t p = 0; p < instance.size() && ok; ++p) {
-      ok = instance[p]->processor_count() == 1;
-    }
-    for (std::size_t p = 1; p < instance.size() && ok; ++p) {
-      ok = same_task_sets(instance[0]->tasks(), instance[p]->tasks());
-    }
-    eligible[i] = ok ? 1 : 0;
-  }
-
-  // First-fit grouping by per-point shape, as solve_batch groups instances:
-  // two lanes may share a chunk only when every sweep point pairs same-shape
-  // problems (the per-point fused select shares that point's energies).
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!eligible[i]) continue;
-    bool placed = false;
-    for (std::vector<std::size_t>& group : groups) {
-      const std::vector<const RejectionProblem*>& lead = grids[group[0]];
-      bool match = lead.size() == grids[i].size();
-      for (std::size_t p = 0; p < lead.size() && match; ++p) {
-        match = same_shape(*lead[p], *grids[i][p]);
-      }
-      if (match) {
-        group.push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) groups.push_back({i});
-  }
-
-  for (const std::vector<std::size_t>& group : groups) {
-    for (std::size_t pos = 0; pos < group.size(); pos += lanes) {
-      const std::size_t chunk_size = std::min(lanes, group.size() - pos);
-      if (chunk_size < 2) {
-        fallback(group[pos]);
-        continue;
-      }
-      std::vector<const std::vector<const RejectionProblem*>*> chunk(chunk_size);
-      for (std::size_t j = 0; j < chunk_size; ++j) chunk[j] = &grids[group[pos + j]];
-      std::vector<std::vector<RejectionSolution>> fused;
-      {
-        RETASK_SCOPED_TIMER("batch.fused_sweep_ns");
-        fused = lockstep_fused_sweep(chunk);
-      }
-      for (std::size_t j = 0; j < chunk_size; ++j) {
-        out[group[pos + j]] = std::move(fused[j]);
-        solved[group[pos + j]] = 1;
-      }
-      RETASK_COUNT("batch.lockstep_chunks", 1);
-      RETASK_COUNT("batch.lanes_filled", chunk_size);
-      RETASK_COUNT("batch.padding_waste", lanes - chunk_size);
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!solved[i]) fallback(i);
   }
   return out;
 }

@@ -19,11 +19,6 @@
 //  * Density / marginal greedy — per-lane decisions replayed position by
 //    position (density) or round by round (local search), with every
 //    energy probe of every live lane fused into one batched evaluation.
-//  * Fused sweeps (solve_sweep_batch) — a (point x instance) sweep grid is
-//    partitioned into same-shape lane groups; each lane fills ONCE at its
-//    widest point (the warm start of ExactDpSolver::solve_sweep) and every
-//    point runs one fused cross-instance select, so the sweep gets the
-//    warm-start and the lockstep energy batching simultaneously.
 //  * Table export (solve_batch + LockstepTables) — the exact-DP lanes'
 //    filled tables can be captured as DpTableExport views for
 //    DeltaSolver::adopt_table, sparing downstream incremental solvers the
@@ -53,15 +48,6 @@ int lockstep_lanes();
 
 /// Overrides the lane count process-wide (0 disables lockstep batching).
 void set_lockstep_lanes(int lanes);
-
-/// The process-wide fused-sweep switch: the last set_fused_sweep_enabled()
-/// value, else the RETASK_FUSED_SWEEP environment variable (off -> false,
-/// auto or unset -> true). When off, solve_sweep_batch degrades to a
-/// per-instance solve_sweep loop (bit-identical results either way).
-bool fused_sweep_enabled();
-
-/// Overrides the fused-sweep switch process-wide.
-void set_fused_sweep_enabled(bool enabled);
 
 /// Per-instance DP tables captured by solve_batch's lockstep exact-DP path
 /// (one slot per input problem, input order). A slot with an empty `value`
@@ -110,19 +96,6 @@ class BatchRejectionSolver {
   /// bits with or without capture.
   std::vector<RejectionSolution> solve_batch(
       const std::vector<const RejectionProblem*>& problems, LockstepTables* tables) const;
-
-  /// Fused cross-instance sweep: `grids[i]` is instance i's sweep points
-  /// (one task set per instance, capacities/platforms varying by point, as
-  /// RejectionSolver::solve_sweep receives them). Instances whose per-point
-  /// shapes match are grouped, cut into lane-sized chunks, and each chunk
-  /// shares ONE lane-major fill (per lane, at the lane's widest point) plus
-  /// one fused lockstep select per point — so a chunk gets the warm-start
-  /// AND the cross-instance energy batching at once. Results are
-  /// bit-identical to calling base.solve_sweep(grids[i]) per instance;
-  /// ineligible instances (mixed task sets, odd shapes, non-exact-DP base,
-  /// fused sweeps disabled) take exactly that fallback.
-  std::vector<std::vector<RejectionSolution>> solve_sweep_batch(
-      const std::vector<std::vector<const RejectionProblem*>>& grids) const;
 
   /// "<base name>+LOCKSTEP".
   std::string name() const;

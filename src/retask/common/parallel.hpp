@@ -30,12 +30,6 @@ int default_jobs();
 /// detection. Values < 0 are rejected.
 void set_default_jobs(int jobs);
 
-/// True when the calling thread is executing inside a parallel_for region
-/// (worker or caller). Nested parallel_for calls run inline there; callers
-/// that would only *add* parallelism (e.g. the wavefront DP fill) use this
-/// to skip the attempt and its setup cost entirely.
-bool inside_parallel_region();
-
 /// Runs fn(i) for every i in [0, n) exactly once. `jobs` = 0 uses
 /// default_jobs(); `jobs` = 1 (or n <= 1, or a call nested inside another
 /// parallel_for) runs inline in index order on the calling thread. If any

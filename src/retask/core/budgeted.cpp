@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "retask/batch/wavefront.hpp"
 #include "retask/cache/energy_memo.hpp"
 #include "retask/cache/scratch.hpp"
 #include "retask/common/bit_matrix.hpp"
@@ -56,10 +55,6 @@ Cycles budget_cycle_cap(const BudgetedProblem& problem) {
 /// hot loop (see core/exact_dp.cpp, including the prefix property that makes
 /// one fill at the largest cap serve every smaller cap bit-identically).
 void fill_budgeted_table(const BudgetedProblem& problem, Cycles cap, DpScratch& scratch) {
-  // Same wavefront hook as the exact DP: the two fills share the relaxation
-  // kernel, so the tiled path serves both bit-identically.
-  if (wavefront_fill(problem.tasks, cap, scratch)) return;
-
   const std::size_t n = problem.tasks.size();
   const auto width = static_cast<std::size_t>(cap) + 1;
   std::vector<double>& best = scratch.value;

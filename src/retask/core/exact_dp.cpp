@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "retask/batch/wavefront.hpp"
 #include "retask/cache/scratch.hpp"
 #include "retask/core/dp_select.hpp"
 #include "retask/cache/sweep.hpp"
@@ -30,40 +29,6 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 void fill_table(const RejectionProblem& problem, Cycles cap, DpScratch& scratch) {
   const std::size_t n = problem.size();
   const auto width = static_cast<std::size_t>(cap) + 1;
-
-  // Large single fills tile across the pool (bit-identical result; see
-  // batch/wavefront.hpp). The gate declines small tables, jobs=1 and nested
-  // parallelism, in which case the serial loop below runs as before.
-  if (wavefront_fill(problem.tasks(), cap, scratch)) {
-    // The tiled fill produced the same table; record the serial fill's cell
-    // accounting anyway — the exact_dp.* counters are a pure function of the
-    // task cycles (the reach recurrence below), so reports stay comparable
-    // across wavefront modes. The tiling's own work lands under wavefront.*.
-    RETASK_OBS_ONLY({
-      std::uint64_t cells_touched = 0;
-      std::uint64_t cells_skipped = 0;
-      std::uint64_t tasks_pruned = 0;
-      std::size_t reachable = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const FrameTask& task = problem.tasks()[i];
-        if (task.cycles > cap) {
-          ++tasks_pruned;
-          cells_skipped += width;
-          continue;
-        }
-        const auto ci = static_cast<std::size_t>(task.cycles);
-        const std::size_t top = std::min(width - 1, reachable + ci);
-        cells_touched += top + 1 - ci;
-        cells_skipped += width - (top + 1 - ci);
-        reachable = top;
-      }
-      RETASK_COUNT("exact_dp.cells_touched", cells_touched);
-      RETASK_COUNT("exact_dp.cells_skipped", cells_skipped);
-      RETASK_COUNT("exact_dp.tasks_pruned", tasks_pruned);
-    })
-    RETASK_RECORD("exact_dp.table_width", width);
-    return;
-  }
 
   std::vector<double>& kept = scratch.value;
   kept.assign(width, kNegInf);

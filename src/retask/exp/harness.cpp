@@ -143,11 +143,6 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
       grouped[j] = reuse ? 1 : 0;
     }
 
-    // Fused sweeps need at least two grouped instances in the block and the
-    // process-wide switch on; the condition depends only on options and the
-    // block composition, never on `jobs`, so attribution stays stable.
-    const bool fuse_sweeps = options.fused_sweep && lanes >= 2 && fused_sweep_enabled();
-
     for (std::size_t a = 0; a < algos; ++a) {
       std::vector<std::size_t> loose;  // block instances outside the sweep path
       std::vector<std::size_t> swept;  // block instances on the sweep path
@@ -155,10 +150,20 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
         (grouped[j] ? swept : loose).push_back(j);
       }
 
-      // Per-cell harness accounting + scoring, shared by every sweep route.
-      const auto score_sweep = [&](std::size_t j, const std::vector<RejectionSolution>& solutions) {
-        RETASK_ASSERT(solutions.size() == points);
+      for (const std::size_t j : swept) {
         const std::size_t k = k_lo + j;
+        std::vector<const RejectionProblem*> group;
+        group.reserve(points);
+        for (const RejectionProblem& problem : problems[j]) group.push_back(&problem);
+        std::vector<RejectionSolution> solutions;
+        {
+          // Shared work has no per-point attribution, so the whole batch's
+          // solver metrics land in the first point's slot (documented on
+          // BatchOptions::sweep_reuse).
+          obs::ActiveScope scope(slot_at(0, k, a).metrics);
+          solutions = lineup[a]->solve_sweep(group);
+        }
+        RETASK_ASSERT(solutions.size() == points);
         for (std::size_t point = 0; point < points; ++point) {
           AlgoStats& slot = slot_at(point, k, a);
           {
@@ -169,47 +174,6 @@ std::vector<std::vector<AlgoStats>> run_comparison_batch(
                          problems[j][point].size() - solutions[point].accepted_count());
           }
           score_cell(problems[j][point], solutions[point], refs[j][point], slot);
-        }
-      };
-
-      if (fuse_sweeps && swept.size() >= 2) {
-        // Cross-instance fusion: the block's grouped instances share one
-        // lane-major fill and one fused select per point. Shared work has
-        // no per-cell attribution, so the whole fused batch's solver
-        // metrics land in the first participating instance's first point
-        // slot (documented on BatchOptions::fused_sweep).
-        const BatchRejectionSolver batched(*lineup[a], BatchConfig{static_cast<int>(lanes)});
-        std::vector<std::vector<const RejectionProblem*>> grids(swept.size());
-        for (std::size_t idx = 0; idx < swept.size(); ++idx) {
-          grids[idx].reserve(points);
-          for (const RejectionProblem& problem : problems[swept[idx]]) {
-            grids[idx].push_back(&problem);
-          }
-        }
-        std::vector<std::vector<RejectionSolution>> solved;
-        {
-          obs::ActiveScope scope(slot_at(0, k_lo + swept.front(), a).metrics);
-          solved = batched.solve_sweep_batch(grids);
-        }
-        RETASK_ASSERT(solved.size() == swept.size());
-        for (std::size_t idx = 0; idx < swept.size(); ++idx) {
-          score_sweep(swept[idx], solved[idx]);
-        }
-      } else {
-        for (const std::size_t j : swept) {
-          const std::size_t k = k_lo + j;
-          std::vector<const RejectionProblem*> group;
-          group.reserve(points);
-          for (const RejectionProblem& problem : problems[j]) group.push_back(&problem);
-          std::vector<RejectionSolution> solutions;
-          {
-            // Shared work has no per-point attribution, so the whole batch's
-            // solver metrics land in the first point's slot (documented on
-            // BatchOptions::sweep_reuse).
-            obs::ActiveScope scope(slot_at(0, k, a).metrics);
-            solutions = lineup[a]->solve_sweep(group);
-          }
-          score_sweep(j, solutions);
         }
       }
 

@@ -102,16 +102,6 @@ struct BatchOptions {
   /// instance's AlgoStats for that point. RETASK_BATCH=off (lanes 0/1)
   /// disables batching even when this flag is set.
   bool lockstep = true;
-  /// Fuse the sweep-reuse path ACROSS a block's instances through
-  /// BatchRejectionSolver::solve_sweep_batch: instead of one warm
-  /// solve_sweep per instance, the block's grouped instances share one
-  /// lane-major fill and one fused select per sweep point, so they get the
-  /// warm start and the cross-instance energy batching simultaneously.
-  /// Solutions are bit-identical either way (the solve_sweep_batch
-  /// contract); the whole fused batch's solver metrics land in the first
-  /// participating instance's FIRST point slot. Inert unless sweep_reuse
-  /// also holds; RETASK_FUSED_SWEEP=off or RETASK_BATCH=off disables it.
-  bool fused_sweep = true;
 };
 
 /// Batch form used by the sweep drivers: one factory per sweep point, all

@@ -94,18 +94,6 @@ struct KernelTable {
   void (*energy_hull_cycles)(const HullEnergyParams& params, const std::int64_t* cycles,
                              double* out, std::size_t n);
 
-  /// Out-of-place relaxation over one span (the wavefront DP tiles):
-  ///   for w in [lo, hi]:
-  ///     cand = prev[w - shift] + add
-  ///     cur[w] = cand > prev[w] ? cand : prev[w]
-  ///     improvement sets take_row bit w
-  /// Every cell is a pure function of `prev`, so evaluation order is free
-  /// (implementations vectorize ascending); the results are bit-identical
-  /// to the in-place descending relax_desc_f64 over the same range.
-  /// Requires lo >= shift and prev != cur.
-  void (*relax_out_f64)(const double* prev, double* cur, std::uint64_t* take_row,
-                        std::size_t shift, std::size_t lo, std::size_t hi, double add);
-
   /// Select-sweep candidate mask over one <= 64-row window of DP kept-value
   /// cells: bit i is set iff total - kept[i] < snapshot (exact double
   /// compare). Unreachable cells hold kept[i] == -inf, so total - kept[i] is

@@ -106,25 +106,6 @@ void avx2_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift
   if (vec_lo > lo) scalar_relax_desc_f64(row, take_row, shift, lo, vec_lo - 1, add);
 }
 
-// Out-of-place span relaxation (wavefront tiles): every cell is a pure
-// function of prev, so the ascending traversal is bit-identical to the
-// scalar loop.
-void avx2_relax_out_f64(const double* prev, double* cur, std::uint64_t* take_row,
-                        std::size_t shift, std::size_t lo, std::size_t hi, double add) {
-  const __m256d add_v = _mm256_set1_pd(add);
-  std::size_t w = lo;
-  for (; w + kLanes <= hi + 1; w += kLanes) {
-    const __m256d src = _mm256_loadu_pd(prev + w - shift);
-    const __m256d dst = _mm256_loadu_pd(prev + w);
-    const __m256d cand = _mm256_add_pd(src, add_v);
-    const __m256d improved = _mm256_cmp_pd(cand, dst, _CMP_GT_OQ);
-    _mm256_storeu_pd(cur + w, _mm256_blendv_pd(dst, cand, improved));
-    const int bits = _mm256_movemask_pd(improved);
-    if (bits != 0) or_take_bits(take_row, w, static_cast<unsigned>(bits));
-  }
-  if (w <= hi) scalar_relax_out_f64(prev, cur, take_row, shift, w, hi, add);
-}
-
 void avx2_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take_row,
                          std::size_t shift, std::size_t lo, std::size_t hi,
                          std::int64_t add_cycles, double add_payload) {
@@ -393,9 +374,9 @@ void avx2_energy_hull_cycles(const HullEnergyParams& params, const std::int64_t*
 
 const KernelTable* avx2_table() noexcept {
   static const KernelTable table{
-      &avx2_relax_desc_f64,    &avx2_relax_desc_i64,      &avx2_argmax_f64,
-      &avx2_argmin_strided_f64, &avx2_energy_hull_cycles, &avx2_relax_out_f64,
-      &avx2_select_mask_f64,   &avx2_select_scan_f64,
+      &avx2_relax_desc_f64,     &avx2_relax_desc_i64,     &avx2_argmax_f64,
+      &avx2_argmin_strided_f64, &avx2_energy_hull_cycles, &avx2_select_mask_f64,
+      &avx2_select_scan_f64,
   };
   return &table;
 }

@@ -55,24 +55,6 @@ void neon_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift
   if (w > lo) scalar_relax_desc_f64(row, take_row, shift, lo, w - 1, add);
 }
 
-// Out-of-place span relaxation (wavefront tiles): cells are pure functions
-// of prev, so the ascending 2-wide traversal matches the scalar loop.
-void neon_relax_out_f64(const double* prev, double* cur, std::uint64_t* take_row,
-                        std::size_t shift, std::size_t lo, std::size_t hi, double add) {
-  const float64x2_t add_v = vdupq_n_f64(add);
-  std::size_t w = lo;
-  for (; w + kLanes <= hi + 1; w += kLanes) {
-    const float64x2_t src = vld1q_f64(prev + w - shift);
-    const float64x2_t dst = vld1q_f64(prev + w);
-    const float64x2_t cand = vaddq_f64(src, add_v);
-    const uint64x2_t improved = vcgtq_f64(cand, dst);
-    vst1q_f64(cur + w, vbslq_f64(improved, cand, dst));
-    const unsigned bits = mask_bits(improved);
-    if (bits != 0) or_take_bits(take_row, w, bits);
-  }
-  if (w <= hi) scalar_relax_out_f64(prev, cur, take_row, shift, w, hi, add);
-}
-
 void neon_relax_desc_i64(std::int64_t* rej, double* payload, std::uint64_t* take_row,
                          std::size_t shift, std::size_t lo, std::size_t hi,
                          std::int64_t add_cycles, double add_payload) {
@@ -125,8 +107,7 @@ std::uint64_t neon_select_mask_f64(const double* kept, std::size_t n, double tot
 const KernelTable* neon_table() noexcept {
   static const KernelTable table{
       &neon_relax_desc_f64,      &neon_relax_desc_i64,       &scalar_argmax_f64,
-      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles, &neon_relax_out_f64,
-      &neon_select_mask_f64,
+      &scalar_argmin_strided_f64, &scalar_energy_hull_cycles, &neon_select_mask_f64,
       // The select-scan's decision walk is serial; at 2 lanes the branch-free
       // precompute does not pay, so keep the scalar body (trivially
       // bit-identical).

@@ -23,35 +23,9 @@ namespace {
 
 constexpr std::size_t kLanes = 2;
 
-inline void or_take_bits(std::uint64_t* take_row, std::size_t base, unsigned bits) {
-  const std::size_t word = base >> 6;
-  const std::size_t off = base & 63;
-  take_row[word] |= static_cast<std::uint64_t>(bits) << off;
-  if (off > 64 - kLanes) take_row[word + 1] |= static_cast<std::uint64_t>(bits) >> (64 - off);
-}
-
 // blendv emulation: mask lanes must be all-ones/all-zeros (compare output).
 inline __m128d select_pd(__m128d when_clear, __m128d when_set, __m128d mask) {
   return _mm_or_pd(_mm_and_pd(mask, when_set), _mm_andnot_pd(mask, when_clear));
-}
-
-// Out-of-place span relaxation (wavefront tiles): each cell is a pure
-// function of prev, so the ascending 2-wide traversal is bit-identical to
-// the scalar loop.
-void sse2_relax_out_f64(const double* prev, double* cur, std::uint64_t* take_row,
-                        std::size_t shift, std::size_t lo, std::size_t hi, double add) {
-  const __m128d add_v = _mm_set1_pd(add);
-  std::size_t w = lo;
-  for (; w + kLanes <= hi + 1; w += kLanes) {
-    const __m128d src = _mm_loadu_pd(prev + w - shift);
-    const __m128d dst = _mm_loadu_pd(prev + w);
-    const __m128d cand = _mm_add_pd(src, add_v);
-    const __m128d improved = _mm_cmpgt_pd(cand, dst);
-    _mm_storeu_pd(cur + w, select_pd(dst, cand, improved));
-    const int bits = _mm_movemask_pd(improved);
-    if (bits != 0) or_take_bits(take_row, w, static_cast<unsigned>(bits));
-  }
-  if (w <= hi) scalar_relax_out_f64(prev, cur, take_row, shift, w, hi, add);
 }
 
 void sse2_relax_desc_f64(double* row, std::uint64_t* take_row, std::size_t shift, std::size_t lo,
@@ -220,9 +194,9 @@ std::size_t sse2_argmin_strided_f64(const double* values, std::size_t n, std::si
 
 const KernelTable* sse2_table() noexcept {
   static const KernelTable table{
-      &sse2_relax_desc_f64,    &scalar_relax_desc_i64,      &sse2_argmax_f64,
-      &sse2_argmin_strided_f64, &scalar_energy_hull_cycles, &sse2_relax_out_f64,
-      &sse2_select_mask_f64,   &sse2_select_scan_f64,
+      &sse2_relax_desc_f64,     &scalar_relax_desc_i64,     &sse2_argmax_f64,
+      &sse2_argmin_strided_f64, &scalar_energy_hull_cycles, &sse2_select_mask_f64,
+      &sse2_select_scan_f64,
   };
   return &table;
 }

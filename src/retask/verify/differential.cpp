@@ -397,101 +397,6 @@ std::vector<PropertyViolation> check_lockstep_diff(const InstanceSpec& spec,
   return violations;
 }
 
-std::vector<PropertyViolation> check_fused_sweep_diff(const InstanceSpec& spec,
-                                                      const RejectionProblem& problem) {
-  std::vector<PropertyViolation> violations;
-  if (problem.processor_count() != 1) return violations;
-  const auto mismatch = [&](const std::string& solver, const std::string& detail) {
-    violations.push_back({"fused-sweep-diff", solver, detail});
-  };
-
-  // Same-shape fleet around the instance (lane 0 is `problem` itself, so
-  // shrinking can minimize a failure), each expanded into the same 3-point
-  // capacity sweep. Five instances at 4 lanes exercises a full fused chunk
-  // plus a ragged single-instance tail (which must take the per-instance
-  // fallback); at 8 lanes, a padded chunk.
-  std::vector<RejectionProblem> fleet;
-  fleet.reserve(5);
-  fleet.push_back(problem);
-  for (std::uint64_t v = 1; v <= 4; ++v) {
-    InstanceSpec variant = spec;
-    variant.task_count = static_cast<int>(problem.size());
-    variant.seed = spec.seed + 0x9e3779b97f4a7c15ULL * v;
-    fleet.push_back(build_instance(variant));
-    if (!same_shape(fleet.front(), fleet.back())) {
-      mismatch("fleet", "variant " + std::to_string(v) + " is not shape-compatible");
-      fleet.pop_back();
-    }
-  }
-
-  const std::vector<double> factors{0.5, 0.8, 1.0};
-  std::vector<std::vector<RejectionProblem>> sweeps;
-  sweeps.reserve(fleet.size());
-  for (const RejectionProblem& instance : fleet) {
-    sweeps.push_back(make_capacity_sweep(instance, factors));
-  }
-  std::vector<std::vector<const RejectionProblem*>> grids(sweeps.size());
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    grids[i].reserve(sweeps[i].size());
-    for (const RejectionProblem& point : sweeps[i]) grids[i].push_back(&point);
-  }
-
-  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
-  for (const simd::Backend b : simd::available_vector_backends()) backends.push_back(b);
-
-  // The exact DP takes the fused cross-instance path; the greedy solvers
-  // are not sweep-fusable and must come back bit-identical through the
-  // per-instance fallback.
-  const ExactDpSolver exact;
-  const DensityGreedySolver density;
-  const MarginalGreedySolver marginal;
-  const std::vector<const RejectionSolver*> solvers = {&exact, &density, &marginal};
-  for (const RejectionSolver* solver : solvers) {
-    for (const simd::Backend backend : backends) {
-      try {
-        simd::ScopedBackend forced(backend);
-        // The two baselines the fused path promises to reproduce bit for
-        // bit: each instance's own warm sweep and a cold per-point solve.
-        std::vector<std::vector<RejectionSolution>> warm(grids.size());
-        std::vector<std::vector<RejectionSolution>> cold(grids.size());
-        for (std::size_t i = 0; i < grids.size(); ++i) {
-          warm[i] = solver->solve_sweep(grids[i]);
-          cold[i].reserve(grids[i].size());
-          for (const RejectionProblem* point : grids[i]) cold[i].push_back(solver->solve(*point));
-        }
-        for (const int lanes : {4, 8}) {
-          const BatchRejectionSolver batched(*solver, BatchConfig{lanes});
-          const std::vector<std::vector<RejectionSolution>> fused =
-              batched.solve_sweep_batch(grids);
-          RETASK_ASSERT(fused.size() == grids.size());
-          for (std::size_t i = 0; i < grids.size(); ++i) {
-            RETASK_ASSERT(fused[i].size() == grids[i].size());
-            for (std::size_t p = 0; p < grids[i].size(); ++p) {
-              const RejectionSolution& got = fused[i][p];
-              const auto differs = [&](const RejectionSolution& want) {
-                return got.accepted != want.accepted || got.energy != want.energy ||
-                       got.penalty != want.penalty;
-              };
-              if (differs(warm[i][p]) || differs(cold[i][p])) {
-                mismatch(solver->name(),
-                         std::string(simd::to_string(backend)) + " lanes=" +
-                             std::to_string(lanes) + " instance " + std::to_string(i) +
-                             " point " + std::to_string(p) + ": fused objective " +
-                             fmt(got.objective()) + " != warm " + fmt(warm[i][p].objective()) +
-                             " / cold " + fmt(cold[i][p].objective()) +
-                             " (or accept masks differ)");
-              }
-            }
-          }
-        }
-      } catch (const std::exception& error) {
-        mismatch(solver->name(), std::string("fused sweep diff threw: ") + error.what());
-      }
-    }
-  }
-  return violations;
-}
-
 std::vector<PropertyViolation> check_delta_diff(const InstanceSpec& spec,
                                                 const RejectionProblem& problem) {
   std::vector<PropertyViolation> violations;
@@ -886,11 +791,6 @@ FuzzReport run_differential_fuzz(const FuzzOptions& options, const SuiteFactory&
           }
           if (options.lockstep_diff) {
             std::vector<PropertyViolation> extra = check_lockstep_diff(spec, problem);
-            found.insert(found.end(), std::make_move_iterator(extra.begin()),
-                         std::make_move_iterator(extra.end()));
-          }
-          if (options.fused_sweep_diff) {
-            std::vector<PropertyViolation> extra = check_fused_sweep_diff(spec, problem);
             found.insert(found.end(), std::make_move_iterator(extra.begin()),
                          std::make_move_iterator(extra.end()));
           }

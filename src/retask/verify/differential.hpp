@@ -77,7 +77,6 @@ struct FuzzOptions {
   bool sweep_cache = false; ///< also check warm-vs-cold sweep solve identity
   bool simd_diff = false;   ///< also check forced-scalar vs SIMD solve identity
   bool lockstep_diff = false; ///< also check batch-lockstep vs per-instance identity
-  bool fused_sweep_diff = false; ///< also check fused cross-instance sweeps vs warm/cold identity
   bool delta_diff = false;  ///< also check serve-mode delta-solve vs cold identity
   bool stochastic_diff = false; ///< also cross-check ladder vs continuous reclamation
   bool mp_diff = false;     ///< also check heap-partition and mp-scale identities
@@ -113,21 +112,6 @@ std::vector<PropertyViolation> check_simd_diff(const RejectionProblem& problem);
 /// only (returns empty otherwise).
 std::vector<PropertyViolation> check_lockstep_diff(const InstanceSpec& spec,
                                                    const RejectionProblem& problem);
-
-/// Fused cross-instance sweep vs per-instance warm vs per-point cold check:
-/// builds the same same-shape fleet as check_lockstep_diff (lane 0 is
-/// `problem`), expands every instance into a 3-point capacity sweep, and
-/// solves the whole (instance x point) grid through
-/// BatchRejectionSolver::solve_sweep_batch at lane counts 4 and 8 —
-/// exercising a full fused chunk plus a ragged tail, and a padded chunk —
-/// under the scalar table and every available vector backend. The fused
-/// results must be bitwise identical to each instance's own
-/// solve_sweep (the warm path) AND to a cold per-point solve; the greedy
-/// solvers, which are not sweep-fusable, must come back identical through
-/// the per-instance fallback. Any difference is a "fused-sweep-diff"
-/// violation. Single-processor instances only (returns empty otherwise).
-std::vector<PropertyViolation> check_fused_sweep_diff(const InstanceSpec& spec,
-                                                      const RejectionProblem& problem);
 
 /// Serve-mode delta-solve vs cold-solve check: admits `problem`'s tasks one
 /// at a time into a DeltaSolver (checkpoint stride 4, so removals exercise

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/rng.hpp"
 #include "retask/core/exact_dp.hpp"
@@ -250,124 +249,6 @@ TEST(BatchLockstep, HarnessLockstepMatchesUnbatchedRuns) {
   }
 }
 
-/// Builds a (instance x point) capacity-sweep grid over a same-shape fleet
-/// and returns pointer grids into `sweeps` (which must outlive the result).
-std::vector<std::vector<const RejectionProblem*>> sweep_grids(
-    const std::vector<RejectionProblem>& fleet, std::vector<std::vector<RejectionProblem>>& sweeps) {
-  const std::vector<double> factors{0.5, 0.8, 1.0};
-  sweeps.clear();
-  sweeps.reserve(fleet.size());
-  for (const RejectionProblem& instance : fleet) {
-    sweeps.push_back(make_capacity_sweep(instance, factors));
-  }
-  std::vector<std::vector<const RejectionProblem*>> grids(sweeps.size());
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    for (const RejectionProblem& point : sweeps[i]) grids[i].push_back(&point);
-  }
-  return grids;
-}
-
-void expect_grid_identical(const std::vector<std::vector<RejectionSolution>>& fused,
-                           const std::vector<std::vector<RejectionSolution>>& want) {
-  ASSERT_EQ(fused.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    SCOPED_TRACE("grid instance " + std::to_string(i));
-    expect_identical(fused[i], want[i]);
-  }
-}
-
-TEST(BatchLockstep, FusedSweepMatchesWarmAndColdEveryBackend) {
-  // 5 instances at 4 lanes: one full fused chunk plus a ragged singleton
-  // tail (which must take the per-instance fallback); at 8 lanes, one
-  // padded chunk. Every cell must match both the instance's own warm
-  // solve_sweep and a cold per-point solve, bit for bit.
-  const std::vector<RejectionProblem> fleet = make_fleet(5, 701);
-  std::vector<std::vector<RejectionProblem>> sweeps;
-  const std::vector<std::vector<const RejectionProblem*>> grids = sweep_grids(fleet, sweeps);
-  const ExactDpSolver base;
-  // Force the process-wide knob on: a RETASK_FUSED_SWEEP=off environment
-  // (the CI fallback leg) must not hollow this test out.
-  const bool knob = fused_sweep_enabled();
-  set_fused_sweep_enabled(true);
-  for (const simd::Backend backend : available_backends()) {
-    simd::ScopedBackend forced(backend);
-    SCOPED_TRACE(std::string(simd::to_string(backend)));
-    std::vector<std::vector<RejectionSolution>> warm(grids.size());
-    std::vector<std::vector<RejectionSolution>> cold(grids.size());
-    for (std::size_t i = 0; i < grids.size(); ++i) {
-      warm[i] = base.solve_sweep(grids[i]);
-      cold[i] = solve_solo(base, grids[i]);
-    }
-    expect_grid_identical(warm, cold);  // the warm baseline itself
-    for (const int lanes : {4, 8}) {
-      SCOPED_TRACE("lanes " + std::to_string(lanes));
-      const BatchRejectionSolver batched(base, BatchConfig{lanes});
-      obs::Registry metrics;
-      std::vector<std::vector<RejectionSolution>> fused;
-      {
-        obs::ActiveScope scope(metrics);
-        fused = batched.solve_sweep_batch(grids);
-      }
-      expect_grid_identical(fused, warm);
-      if (obs_enabled()) {
-        // 4 lanes: 4 fused instances x 3 points + 1 fallback; 8 lanes: all 5
-        // fused. The fallback instance still warm-starts through its own
-        // solve_sweep, so it never contributes fused points.
-        EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), lanes == 4 ? 12u : 15u);
-        EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), lanes == 4 ? 1u : 0u);
-        EXPECT_GT(counter_of(metrics, "batch.select_scan_words"), 0u);
-      }
-    }
-  }
-  set_fused_sweep_enabled(knob);
-}
-
-TEST(BatchLockstep, FusedSweepFallsBackForNonLockstepSolversAndKnobOff) {
-  const std::vector<RejectionProblem> fleet = make_fleet(4, 801);
-  std::vector<std::vector<RejectionProblem>> sweeps;
-  const std::vector<std::vector<const RejectionProblem*>> grids = sweep_grids(fleet, sweeps);
-
-  const bool knob = fused_sweep_enabled();
-  set_fused_sweep_enabled(true);
-
-  // Greedy bases have no fused sweep body: every instance falls back to its
-  // own solve_sweep, bit-identically.
-  const MarginalGreedySolver greedy;
-  std::vector<std::vector<RejectionSolution>> want(grids.size());
-  for (std::size_t i = 0; i < grids.size(); ++i) want[i] = greedy.solve_sweep(grids[i]);
-  {
-    obs::Registry metrics;
-    std::vector<std::vector<RejectionSolution>> got;
-    {
-      obs::ActiveScope scope(metrics);
-      got = BatchRejectionSolver(greedy, BatchConfig{4}).solve_sweep_batch(grids);
-    }
-    expect_grid_identical(got, want);
-    if (obs_enabled()) {
-      EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), grids.size());
-      EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), 0u);
-    }
-  }
-
-  // RETASK_FUSED_SWEEP=off (the process-wide knob) must route the exact DP
-  // through the same per-instance fallback without changing a bit.
-  const ExactDpSolver exact;
-  for (std::size_t i = 0; i < grids.size(); ++i) want[i] = exact.solve_sweep(grids[i]);
-  set_fused_sweep_enabled(false);
-  obs::Registry metrics;
-  std::vector<std::vector<RejectionSolution>> got;
-  {
-    obs::ActiveScope scope(metrics);
-    got = BatchRejectionSolver(exact, BatchConfig{4}).solve_sweep_batch(grids);
-  }
-  set_fused_sweep_enabled(knob);
-  expect_grid_identical(got, want);
-  if (obs_enabled()) {
-    EXPECT_EQ(counter_of(metrics, "batch.sweep_fallbacks"), grids.size());
-    EXPECT_EQ(counter_of(metrics, "batch.fused_sweep_points"), 0u);
-  }
-}
-
 TEST(BatchLockstep, SolveBatchCapturesTablesForLockstepLanesOnly) {
   // Exact-DP lanes export their filled tables; fallback routes (singleton
   // tails, no-lockstep bases) leave their LockstepTables slots empty.
@@ -398,44 +279,6 @@ TEST(BatchLockstep, SolveBatchCapturesTablesForLockstepLanesOnly) {
   BatchRejectionSolver(fptas, BatchConfig{4}).solve_batch(ptrs, &none);
   ASSERT_EQ(none.exports.size(), fleet.size());
   for (const DpTableExport& table : none.exports) EXPECT_TRUE(table.value.empty());
-}
-
-/// Fused sweeps on and off must produce identical harness aggregates — like
-/// lockstep, fusion may only change metric attribution, never a solution bit.
-TEST(BatchLockstep, HarnessFusedSweepMatchesUnfusedRuns) {
-  const auto base_factory = [](std::uint64_t seed) { return test::small_instance(seed, 10, 1.5); };
-  // A 3-point capacity sweep: same task set per seed, scaled capacity per
-  // point — exactly the sweep_reuse grouping the fused path rides on.
-  std::vector<ProblemFactory> factories;
-  for (const double factor : {0.5, 0.8, 1.0}) {
-    factories.push_back([base_factory, factor](std::uint64_t seed) {
-      return make_capacity_sweep(base_factory(seed), {factor}).front();
-    });
-  }
-  const auto reference = [](const RejectionProblem& p) { return fractional_lower_bound(p); };
-  std::vector<std::unique_ptr<RejectionSolver>> lineup;
-  lineup.push_back(std::make_unique<ExactDpSolver>());
-  lineup.push_back(std::make_unique<MarginalGreedySolver>());
-  BatchOptions on;
-  BatchOptions off;
-  off.fused_sweep = false;
-  const int before = lockstep_lanes();
-  const bool knob = fused_sweep_enabled();
-  set_lockstep_lanes(4);
-  set_fused_sweep_enabled(true);
-  const auto fused = run_comparison_batch(factories, lineup, reference, 10, 1, 0, on);
-  const auto plain = run_comparison_batch(factories, lineup, reference, 10, 1, 0, off);
-  set_lockstep_lanes(before);
-  set_fused_sweep_enabled(knob);
-  ASSERT_EQ(fused.size(), plain.size());
-  for (std::size_t point = 0; point < fused.size(); ++point) {
-    for (std::size_t a = 0; a < lineup.size(); ++a) {
-      SCOPED_TRACE("point " + std::to_string(point) + " " + fused[point][a].name);
-      EXPECT_EQ(fused[point][a].ratio.mean(), plain[point][a].ratio.mean());
-      EXPECT_EQ(fused[point][a].objective.mean(), plain[point][a].objective.mean());
-      EXPECT_EQ(fused[point][a].acceptance.mean(), plain[point][a].acceptance.mean());
-    }
-  }
 }
 
 TEST(BatchLockstep, SameShapeRejectsDifferentGeometry) {

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "retask/batch/lockstep.hpp"
-#include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/fptas.hpp"
@@ -287,72 +286,6 @@ TEST(Metrics, SolverRunPopulatesScopedRegistry) {
       obs::intern_metric(MetricKind::kCounter, "exact_dp.cells_touched");
   EXPECT_EQ(metrics.counter(solves), 1u);
   EXPECT_GT(metrics.counter(touched), 0u);
-}
-
-// Fused-sweep counter parity: the fused cross-instance path must report the
-// same fill/warm-start work as the per-instance warm sweeps it replaces
-// (exact_dp.solves, dp.warm_starts), adding only its own batch.* counters;
-// with the knob off the fused counters stay at zero and every instance is a
-// counted fallback.
-TEST(Metrics, FusedSweepCountersMirrorWarmSweepsAndVanishWhenOff) {
-  const std::vector<double> factors{0.5, 0.8, 1.0};
-  std::vector<RejectionProblem> fleet;
-  std::vector<std::vector<RejectionProblem>> sweeps;
-  std::vector<std::vector<const RejectionProblem*>> grids;
-  for (std::uint64_t seed = 41; seed < 45; ++seed) {
-    fleet.push_back(test::small_instance(seed, 10, 1.5));
-  }
-  for (const RejectionProblem& instance : fleet) {
-    sweeps.push_back(make_capacity_sweep(instance, factors));
-    grids.emplace_back();
-    for (const RejectionProblem& point : sweeps.back()) grids.back().push_back(&point);
-  }
-  const obs::MetricId solves = obs::intern_metric(MetricKind::kCounter, "exact_dp.solves");
-  const obs::MetricId warm_starts = obs::intern_metric(MetricKind::kCounter, "dp.warm_starts");
-  const obs::MetricId fused_points =
-      obs::intern_metric(MetricKind::kCounter, "batch.fused_sweep_points");
-  const obs::MetricId scan_words =
-      obs::intern_metric(MetricKind::kCounter, "batch.select_scan_words");
-  const obs::MetricId fallbacks = obs::intern_metric(MetricKind::kCounter, "batch.sweep_fallbacks");
-
-  const ExactDpSolver exact;
-  Registry solo;
-  {
-    obs::ActiveScope scope(solo);
-    for (const auto& grid : grids) exact.solve_sweep(grid);
-  }
-  EXPECT_EQ(solo.counter(solves), fleet.size());
-  EXPECT_EQ(solo.counter(warm_starts), fleet.size() * (factors.size() - 1));
-  EXPECT_EQ(solo.counter(fused_points), 0u);
-
-  const bool knob = fused_sweep_enabled();
-  const BatchRejectionSolver batched(exact, BatchConfig{4});
-  Registry fused;
-  set_fused_sweep_enabled(true);
-  {
-    obs::ActiveScope scope(fused);
-    batched.solve_sweep_batch(grids);
-  }
-  // Same fill work as the warm sweeps, plus the fused-path accounting.
-  EXPECT_EQ(fused.counter(solves), solo.counter(solves));
-  EXPECT_EQ(fused.counter(warm_starts), solo.counter(warm_starts));
-  EXPECT_EQ(fused.counter(fused_points), fleet.size() * factors.size());
-  EXPECT_GT(fused.counter(scan_words), 0u);
-  EXPECT_EQ(fused.counter(fallbacks), 0u);
-
-  Registry off;
-  set_fused_sweep_enabled(false);
-  {
-    obs::ActiveScope scope(off);
-    batched.solve_sweep_batch(grids);
-  }
-  set_fused_sweep_enabled(knob);
-  EXPECT_EQ(off.counter(fused_points), 0u);
-  EXPECT_EQ(off.counter(scan_words), 0u);
-  EXPECT_EQ(off.counter(fallbacks), fleet.size());
-  // The fallback is exactly the warm per-instance path.
-  EXPECT_EQ(off.counter(solves), solo.counter(solves));
-  EXPECT_EQ(off.counter(warm_starts), solo.counter(warm_starts));
 }
 
 // Table handoff: a lockstep capture adopted into a DeltaSolver counts one

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "retask/obs/metrics.hpp"
 #include "retask/power/polynomial_power.hpp"
 #include "retask/serve/delta_solver.hpp"
+#include "retask/simd/backend.hpp"
 #include "test_util.hpp"
 
 namespace retask {
@@ -443,7 +445,8 @@ TEST(EnergyRowTest, AttachedRowKeepsTheMemoCounters) {
 // Harness: grouped sweep solving and per-cell memos change nothing about
 // the aggregates, at any job count.
 
-std::vector<std::vector<AlgoStats>> run_batch(const BatchOptions& options, int jobs) {
+std::vector<std::vector<AlgoStats>> run_batch(const BatchOptions& options, int jobs,
+                                             int instances = 4) {
   std::vector<ProblemFactory> factories;
   for (const double factor : {1.0, 0.8, 0.6}) {
     factories.push_back([factor](std::uint64_t seed) {
@@ -452,8 +455,8 @@ std::vector<std::vector<AlgoStats>> run_batch(const BatchOptions& options, int j
   }
   const auto reference = [](const RejectionProblem& p) { return fractional_lower_bound(p); };
   const auto lineup = standard_uniproc_lineup();
-  return run_comparison_batch(factories, lineup, reference, /*instances=*/4,
-                              /*seed0=*/11, jobs, options);
+  return run_comparison_batch(factories, lineup, reference, instances, /*seed0=*/11, jobs,
+                              options);
 }
 
 void expect_same_aggregates(const std::vector<std::vector<AlgoStats>>& a,
@@ -475,11 +478,26 @@ void expect_same_aggregates(const std::vector<std::vector<AlgoStats>>& a,
   }
 }
 
+// The cold side solves its instances through the lockstep lanes, so lanes
+// and kernels are inputs too: 4 and 8 lanes (9 instances give a full 8-lane
+// chunk and ragged tails), under the detected and the scalar kernels. The
+// backend override is thread-local, which holds because jobs is 1.
 TEST(HarnessSweepCache, GroupedSolvingMatchesColdHarnessBitForBit) {
   BatchOptions cold;
   cold.sweep_reuse = false;
   cold.cell_energy_memo = false;
-  expect_same_aggregates(run_batch(cold, /*jobs=*/1), run_batch({}, /*jobs=*/1));
+  const int lanes_before = lockstep_lanes();
+  for (const int lanes : {4, 8}) {
+    for (const simd::Backend backend : {simd::detect_backend(), simd::Backend::kScalar}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + " " +
+                   std::string(simd::to_string(backend)));
+      set_lockstep_lanes(lanes);
+      const simd::ScopedBackend forced(backend);
+      expect_same_aggregates(run_batch(cold, /*jobs=*/1, /*instances=*/9),
+                             run_batch({}, /*jobs=*/1, /*instances=*/9));
+    }
+  }
+  set_lockstep_lanes(lanes_before);
 }
 
 TEST(HarnessSweepCache, GroupedSolvingIsJobCountInvariant) {

@@ -1,6 +1,7 @@
 // retask_bench — pinned-workload benchmark runner with regression gating.
 //
-//   retask_bench --out bench/reports/BENCH_PR5.json     # run + compare
+//   retask_bench                                        # run + compare
+//   retask_bench --out report.json                      # report elsewhere
 //   retask_bench --write-baseline                       # refresh the baseline
 //   retask_bench --filter greedy --repeats 9            # focus a subset
 //   retask_bench --trace-out trace.json                 # chrome://tracing dump
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "retask/batch/lockstep.hpp"
-#include "retask/batch/wavefront.hpp"
 #include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
@@ -54,21 +54,13 @@
 #ifndef RETASK_BENCH_BASELINE_DEFAULT
 #define RETASK_BENCH_BASELINE_DEFAULT ""
 #endif
-#ifndef RETASK_BENCH_REPORT_DIR_DEFAULT
-#define RETASK_BENCH_REPORT_DIR_DEFAULT ""
-#endif
 
 namespace {
 
 using namespace retask;
 
-std::string default_out_path() {
-  const std::string dir = RETASK_BENCH_REPORT_DIR_DEFAULT;
-  return dir.empty() ? "BENCH_PR10.json" : dir + "/BENCH_PR10.json";
-}
-
 struct BenchCliOptions {
-  std::string out = default_out_path();
+  std::string out = "retask_bench_report.json";
   std::string baseline = RETASK_BENCH_BASELINE_DEFAULT;
   std::string filter;
   std::string trace_out;
@@ -86,8 +78,8 @@ const char* kUsage =
 
 usage: retask_bench [options]
 
-  --out FILE         report JSON path (default bench/reports/BENCH_PR10.json
-                     next to the sources; the directory is created)
+  --out FILE         report JSON path (default retask_bench_report.json in
+                     the working directory; a missing directory is created)
   --baseline FILE    baseline JSON to compare against (default: the
                      checked-in bench/baseline/BENCH_BASELINE.json)
   --threshold X      fail when median > X * baseline median (default 2.5)
@@ -403,114 +395,6 @@ std::vector<Workload> build_workloads(int jobs) {
                          }});
   }
   {
-    // Fused cross-instance sweep: the same table5 fleet shape as the
-    // batch_lockstep pair (dense selects, so the shared energy batching
-    // matters), but every instance now carries 8 capacity points. Four
-    // variants of the identical (instance x point) grid isolate each layer:
-    //   _cold      per-point solves, nothing shared
-    //   _lockstep  per-point solve_batch — cross-instance sharing only
-    //   _warm      per-instance solve_sweep — warm-started fills only
-    //   _fused     solve_sweep_batch — both at once (the tentpole path)
-    // _warm/_fused is the headline speedup; _cold/_warm and
-    // _lockstep/_fused show what each axis contributes on its own.
-    const auto grid = std::make_shared<std::vector<std::vector<RejectionProblem>>>();
-    {
-      const std::unique_ptr<PowerModel> model = make_model_by_name("table5");
-      std::vector<double> factors;
-      for (int p = 0; p < 8; ++p) factors.push_back(0.6 + 0.05 * p);
-      for (std::uint64_t seed = 41; seed <= 48; ++seed) {
-        ScenarioConfig config;
-        config.task_count = 24;
-        config.load = 1.3;
-        config.resolution = 4000.0;
-        config.penalty_scale = 2.0;
-        config.seed = seed;
-        grid->push_back(make_capacity_sweep(make_scenario(config, *model), factors));
-      }
-    }
-    workloads.push_back({"fused_sweep_cold", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver solver;
-                           for (const std::vector<RejectionProblem>& row : *grid) {
-                             for (const RejectionProblem& point : row) solver.solve(point);
-                           }
-                         }});
-    workloads.push_back({"fused_sweep_lockstep", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver base;
-                           const BatchRejectionSolver batched(base, BatchConfig{8});
-                           for (std::size_t p = 0; p < grid->front().size(); ++p) {
-                             std::vector<const RejectionProblem*> point;
-                             point.reserve(grid->size());
-                             for (const auto& row : *grid) point.push_back(&row[p]);
-                             batched.solve_batch(point);
-                           }
-                         }});
-    workloads.push_back({"fused_sweep_warm", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           const ExactDpSolver solver;
-                           for (const std::vector<RejectionProblem>& row : *grid) {
-                             std::vector<const RejectionProblem*> group;
-                             group.reserve(row.size());
-                             for (const RejectionProblem& point : row) group.push_back(&point);
-                             solver.solve_sweep(group);
-                           }
-                         }});
-    workloads.push_back({"fused_sweep_fused", [grid](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           // The bench must measure the fused path even under
-                           // a RETASK_FUSED_SWEEP=off environment leg.
-                           const bool knob = fused_sweep_enabled();
-                           set_fused_sweep_enabled(true);
-                           const ExactDpSolver base;
-                           const BatchRejectionSolver batched(base, BatchConfig{8});
-                           std::vector<std::vector<const RejectionProblem*>> grids;
-                           grids.reserve(grid->size());
-                           for (const auto& row : *grid) {
-                             std::vector<const RejectionProblem*> group;
-                             group.reserve(row.size());
-                             for (const RejectionProblem& point : row) group.push_back(&point);
-                             grids.push_back(std::move(group));
-                           }
-                           batched.solve_sweep_batch(grids);
-                           set_fused_sweep_enabled(knob);
-                         }});
-  }
-  {
-    // Wavefront DP tiling: one wide exact-DP table (n=96, ~300k cells per
-    // row), filled serially vs. tiled across the pool at 8 jobs. The tiny
-    // penalty scale keeps the select sweep's energy early-exit quick, so the
-    // pair measures the table fill the wavefront parallelizes.
-    const auto problem = [] {
-      const std::unique_ptr<PowerModel> model = make_model_by_name("xscale");
-      ScenarioConfig config;
-      config.task_count = 96;
-      config.load = 1.3;
-      config.resolution = 300000.0;
-      config.penalty_scale = 0.01;
-      config.seed = 51;
-      return std::make_shared<RejectionProblem>(make_scenario(config, *model));
-    }();
-    const auto with_mode = [problem](WavefrontMode mode, int fill_jobs) {
-      const WavefrontMode before_mode = wavefront_mode();
-      const int before_jobs = default_jobs();
-      set_wavefront_mode(mode);
-      set_default_jobs(fill_jobs);
-      ExactDpSolver().solve(*problem);
-      set_default_jobs(before_jobs);
-      set_wavefront_mode(before_mode);
-    };
-    workloads.push_back({"big_dp_wavefront_serial", [with_mode](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           with_mode(WavefrontMode::kOff, 1);
-                         }});
-    workloads.push_back({"big_dp_wavefront_tiled", [with_mode](obs::Registry& metrics) {
-                           obs::ActiveScope scope(metrics);
-                           with_mode(WavefrontMode::kForce, 8);
-                         }});
-  }
-
-  {
     // Serve-mode admission stream: one pinned op sequence (~70% admit, ~30%
     // remove; membership decided by the rng alone, never by verdicts, so
     // both runs replay the identical stream) against the incremental
@@ -819,16 +703,14 @@ obs::BenchWorkloadResult run_workload(const Workload& workload, int repeats) {
   }
 
   // Kernel attribution, stdout only (timers never enter the gated report):
-  // the share of the lockstep / fused-sweep batch time the select
-  // prediction+replay scans account for.
+  // the share of the lockstep batch time the select prediction+replay scans
+  // account for.
   {
     double select_ns = 0.0;
     double batch_ns = 0.0;
     for (const obs::MetricRow& row : obs::report_rows(metrics, /*include_timers=*/true)) {
       if (row.name == "batch.select_scan_ns.sum") select_ns = row.numeric;
-      if (row.name == "batch.lockstep_ns.sum" || row.name == "batch.fused_sweep_ns.sum") {
-        batch_ns += row.numeric;
-      }
+      if (row.name == "batch.lockstep_ns.sum") batch_ns = row.numeric;
     }
     if (select_ns > 0.0 && batch_ns > 0.0) {
       std::cout << workload.name << ": select scans " << 100.0 * select_ns / batch_ns
@@ -879,8 +761,7 @@ int run(const BenchCliOptions& options) {
   }
 
   // Before/after pairs: _cold/_warm measures the sweep-caching layer,
-  // _scalar/_simd the vector kernels, _warm/_fused the cross-instance
-  // fused sweep. Report the speedup of each pair.
+  // _scalar/_simd the vector kernels. Report the speedup of each pair.
   const auto print_speedups = [&report](const std::string& before, const std::string& after) {
     for (const obs::BenchWorkloadResult& slow : report.workloads) {
       if (slow.name.size() <= before.size() ||
@@ -899,10 +780,7 @@ int run(const BenchCliOptions& options) {
   print_speedups("_cold", "_warm");
   print_speedups("_scalar", "_simd");
   print_speedups("_single", "_lanes");
-  print_speedups("_serial", "_tiled");
   print_speedups("_greedy", "_scale");
-  print_speedups("_warm", "_fused");
-  print_speedups("_lockstep", "_fused");
 
   if (!options.trace_out.empty()) {
     obs::write_chrome_trace_file(options.trace_out);

@@ -57,12 +57,6 @@ usage: retask_fuzz [options]
   --lockstep-diff    also solve a same-shape fleet around every instance
                      through the lockstep batch solver (lanes 4 and 8, every
                      backend), requiring bit-identical per-lane solutions
-  --fused-sweep-diff also expand a same-shape fleet around every instance
-                     into capacity sweeps and solve the whole grid through
-                     the fused cross-instance sweep (lanes 4 and 8, every
-                     backend, including ragged lane tails), requiring
-                     bit-identity with each instance's warm solve_sweep and
-                     with cold per-point solves
   --delta-diff       also replay every instance as a serve-mode admit /
                      remove / reprice walk through the incremental
                      DeltaSolver, requiring bit-identical solutions to a
@@ -134,8 +128,6 @@ FuzzCliOptions parse(const std::vector<std::string>& args) {
       options.fuzz.simd_diff = true;
     } else if (arg == "--lockstep-diff") {
       options.fuzz.lockstep_diff = true;
-    } else if (arg == "--fused-sweep-diff") {
-      options.fuzz.fused_sweep_diff = true;
     } else if (arg == "--delta-diff") {
       options.fuzz.delta_diff = true;
     } else if (arg == "--stochastic-diff") {
