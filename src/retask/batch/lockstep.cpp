@@ -44,12 +44,6 @@ std::size_t lane_cap(const RejectionProblem& problem) {
   return static_cast<std::size_t>(cap);
 }
 
-/// Byte budget of one lane's table export (value row + dense checkpoint
-/// rows + choice bits). Captures costlier than this are skipped and the
-/// consumer falls back to a cold seed. The gate is a pure function of the
-/// lane geometry, so gating can never change a solution bit.
-constexpr std::size_t kExportByteBudget = std::size_t{16} << 20;
-
 /// Lane-major fill state of one lockstep chunk: lane k's value row lives at
 /// arena[k * stride] (stride 64-aligned so every lane owns whole choice-bit
 /// words), its choice bits at word offset k * stride / 64 of every take
@@ -67,14 +61,8 @@ struct LaneTables {
 /// reachability bounds and capacity pruning. The fill is per lane on
 /// purpose: the descending relaxation is already vectorized on contiguous
 /// cells, while a lane-interleaved traversal must gather strided cells —
-/// measured several times slower on AVX2. When `exports` is non-null, lane
-/// k's finished table — value row, choice bits, dense value-row checkpoints
-/// at a stride targeting <= 4 rows — is captured into (*exports)[k] unless
-/// the capture exceeds kExportByteBudget; the captured state is
-/// bit-identical to what DeltaSolver::admit_all over the lane's task vector
-/// retains, which is exactly the DeltaSolver::adopt_table contract.
-void lockstep_fill(const std::vector<const RejectionProblem*>& chunk, LaneTables& tables,
-                   std::vector<DpTableExport>* exports) {
+/// measured several times slower on AVX2.
+void lockstep_fill(const std::vector<const RejectionProblem*>& chunk, LaneTables& tables) {
   const std::size_t m = chunk.size();
   const std::size_t n = chunk[0]->size();
   tables.cap.resize(m);
@@ -95,27 +83,11 @@ void lockstep_fill(const std::vector<const RejectionProblem*>& chunk, LaneTables
   // cell counts use its own cap[k]+1 width), so obs reports stay comparable
   // whether or not the harness batched the solves.
   RETASK_OBS_ONLY(std::uint64_t cells_touched = 0; std::uint64_t cells_skipped = 0;
-                  std::uint64_t tasks_pruned = 0; std::uint64_t table_exports = 0;)
+                  std::uint64_t tasks_pruned = 0;)
   for (std::size_t k = 0; k < m; ++k) {
     double* lane = tables.arena.data() + k * stride;
     lane[0] = 0.0;  // state w == 0
     const std::size_t word_offset = k * stride / 64;
-    const std::size_t lane_width = cap[k] + 1;
-    DpTableExport* exported = nullptr;
-    std::size_t export_stride = 0;
-    if (exports != nullptr && n > 0) {
-      // Dense checkpoints at a stride targeting <= 4 retained rows keep the
-      // export's replay cost bounded without retaining one row per task.
-      export_stride = std::max<std::size_t>(1, (n + 3) / 4);
-      const std::size_t bytes = (n / export_stride + 1) * lane_width * sizeof(double) +
-                                n * ((lane_width + 63) / 64) * sizeof(std::uint64_t);
-      if (bytes <= kExportByteBudget) {
-        exported = &(*exports)[k];
-        exported->checkpoint_stride = static_cast<int>(export_stride);
-        exported->cp_values.clear();
-        exported->cp_reach.clear();
-      }
-    }
     std::size_t reach = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const FrameTask& task = chunk[k]->tasks()[i];
@@ -130,27 +102,12 @@ void lockstep_fill(const std::vector<const RejectionProblem*>& chunk, LaneTables
                                task.penalty);
         reach = top;
       }
-      if (exported != nullptr && (i + 1) % export_stride == 0) {
-        exported->cp_values.emplace_back(lane, lane + lane_width);
-        exported->cp_reach.push_back(reach);
-      }
-    }
-    if (exported != nullptr) {
-      exported->value.assign(lane, lane + lane_width);
-      exported->reachable = reach;
-      exported->take.reset(n, lane_width);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::copy_n(tables.take.row_words(i) + word_offset, exported->take.words_per_row(),
-                    exported->take.row_words(i));
-      }
-      RETASK_OBS_ONLY(++table_exports;)
     }
   }
   RETASK_COUNT("exact_dp.solves", m);
   RETASK_COUNT("exact_dp.cells_touched", cells_touched);
   RETASK_COUNT("exact_dp.cells_skipped", cells_skipped);
   RETASK_COUNT("exact_dp.tasks_pruned", tasks_pruned);
-  RETASK_COUNT("batch.table_exports", table_exports);
   RETASK_OBS_ONLY(for (std::size_t k = 0; k < m; ++k) {
     RETASK_RECORD("exact_dp.table_width", cap[k] + 1);
   })
@@ -254,14 +211,13 @@ std::vector<RejectionSolution> lockstep_select(const std::vector<const Rejection
 }
 
 /// Lockstep exact DP over one same-shape chunk: one shared fill, one fused
-/// select, optionally capturing each lane's table for adoption. The shared
-/// win of the batch is the select — one fused cycles->energy evaluation per
-/// needed row instead of one solo evaluation per lane per row (the shape
-/// check guarantees identical curves).
-std::vector<RejectionSolution> lockstep_exact_dp(const std::vector<const RejectionProblem*>& chunk,
-                                                 std::vector<DpTableExport>* exports) {
+/// select. The shared win of the batch is the select — one fused
+/// cycles->energy evaluation per needed row instead of one solo evaluation
+/// per lane per row (the shape check guarantees identical curves).
+std::vector<RejectionSolution> lockstep_exact_dp(
+    const std::vector<const RejectionProblem*>& chunk) {
   LaneTables tables;
-  lockstep_fill(chunk, tables, exports);
+  lockstep_fill(chunk, tables);
   return lockstep_select(chunk, tables);
 }
 
@@ -446,17 +402,8 @@ std::string BatchRejectionSolver::name() const { return base_->name() + "+LOCKST
 
 std::vector<RejectionSolution> BatchRejectionSolver::solve_batch(
     const std::vector<const RejectionProblem*>& problems) const {
-  return solve_batch(problems, nullptr);
-}
-
-std::vector<RejectionSolution> BatchRejectionSolver::solve_batch(
-    const std::vector<const RejectionProblem*>& problems, LockstepTables* tables) const {
   const std::size_t count = problems.size();
   std::vector<RejectionSolution> out(count);
-  if (tables != nullptr) {
-    tables->exports.clear();
-    tables->exports.resize(count);
-  }
   const int lanes_cfg = config_.lanes < 0 ? lockstep_lanes() : config_.lanes;
   const LockstepKind kind = kind_of(*base_);
   if (lanes_cfg < 2 || kind == LockstepKind::kNone || count < 2) {
@@ -496,18 +443,9 @@ std::vector<RejectionSolution> BatchRejectionSolver::solve_batch(
       chunk.assign(chunk_size, nullptr);
       for (std::size_t j = 0; j < chunk_size; ++j) chunk[j] = problems[group[pos + j]];
       std::vector<RejectionSolution> solved;
-      std::vector<DpTableExport> chunk_exports;
       switch (kind) {
         case LockstepKind::kExactDp:
-          if (tables != nullptr) {
-            chunk_exports.resize(chunk_size);
-            solved = lockstep_exact_dp(chunk, &chunk_exports);
-            for (std::size_t j = 0; j < chunk_size; ++j) {
-              tables->exports[group[pos + j]] = std::move(chunk_exports[j]);
-            }
-          } else {
-            solved = lockstep_exact_dp(chunk, nullptr);
-          }
+          solved = lockstep_exact_dp(chunk);
           break;
         case LockstepKind::kDensity:
           solved = lockstep_density(chunk);

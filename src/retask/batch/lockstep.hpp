@@ -19,10 +19,6 @@
 //  * Density / marginal greedy — per-lane decisions replayed position by
 //    position (density) or round by round (local search), with every
 //    energy probe of every live lane fused into one batched evaluation.
-//  * Table export (solve_batch + LockstepTables) — the exact-DP lanes'
-//    filled tables can be captured as DpTableExport views for
-//    DeltaSolver::adopt_table, sparing downstream incremental solvers the
-//    cold refill (core/mp_scale.cpp seeds its local search this way).
 //
 // Lane-by-lane bit-identity: each lane's cells, prunes, probes and flips
 // are exactly the single-instance solver's (the kernels touch disjoint
@@ -36,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "retask/cache/scratch.hpp"
 #include "retask/core/solver.hpp"
 
 namespace retask {
@@ -48,17 +43,6 @@ int lockstep_lanes();
 
 /// Overrides the lane count process-wide (0 disables lockstep batching).
 void set_lockstep_lanes(int lanes);
-
-/// Per-instance DP tables captured by solve_batch's lockstep exact-DP path
-/// (one slot per input problem, input order). A slot with an empty `value`
-/// was not captured: the instance fell back to a per-instance solve, the
-/// base solver has no exportable table, or the capture exceeded the byte
-/// budget. Captured slots are bit-identical to what DeltaSolver::admit_all
-/// over the instance's task vector would have filled, so
-/// DeltaSolver::adopt_table can seed from them directly.
-struct LockstepTables {
-  std::vector<DpTableExport> exports;
-};
 
 /// Per-solver batching knobs.
 struct BatchConfig {
@@ -89,13 +73,6 @@ class BatchRejectionSolver {
   /// instance, in any grouping and at any lane count.
   std::vector<RejectionSolution> solve_batch(
       const std::vector<const RejectionProblem*>& problems) const;
-
-  /// solve_batch that additionally captures the lockstep exact-DP lanes'
-  /// filled tables into `tables` (resized to one slot per problem; see
-  /// LockstepTables for which slots stay empty). The solutions are the same
-  /// bits with or without capture.
-  std::vector<RejectionSolution> solve_batch(
-      const std::vector<const RejectionProblem*>& problems, LockstepTables* tables) const;
 
   /// "<base name>+LOCKSTEP".
   std::string name() const;

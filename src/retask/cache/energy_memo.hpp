@@ -59,8 +59,7 @@ class EnergyMemo {
   /// Switches lookups for cycles in [0, max_cycles] to a dense per-shard
   /// array (indexed load + validity bit) instead of the hash map. The exact
   /// select sweeps evaluate E over nearly every load in that range, often
-  /// millions of times per solve — the mp-scale local search alone replays
-  /// tens of millions of rows — and at that density the hash probe IS the
+  /// millions of times per solve, and at that density the hash probe IS the
   /// cost. Pure speedup: the stored values are the same bits either way.
   /// Call before heavy use (entries already in the hash map are not
   /// migrated — a later dense lookup recomputes them, bit-identically).

@@ -28,26 +28,6 @@ struct DpScratch {
   BitMatrix take;
 };
 
-/// A filled exact-DP table captured for handoff between solvers — the
-/// lockstep lanes (batch/lockstep.hpp) export their per-lane tables in this
-/// form and DeltaSolver::adopt_table (serve/delta_solver.hpp) seeds from it
-/// instead of replaying the fill. The capture is self-describing: `value`
-/// and `take` are the fill at some capacity `value.size() - 1` over the
-/// producing task vector in order, `reachable` is the fill's reachability
-/// bound, and `cp_values[c]` / `cp_reach[c]` snapshot the value row after
-/// the first (c + 1) * checkpoint_stride tasks — dense (one row per stride
-/// boundary), exactly the rows DeltaSolver's own checkpointing would have
-/// retained. An empty `value` means "no capture" (the producer gated it
-/// off); consumers must fall back to a cold seed.
-struct DpTableExport {
-  std::vector<double> value;  ///< kept[w] over w in [0, fill capacity]
-  BitMatrix take;             ///< per-task choice bits, one row per task
-  std::size_t reachable = 0;  ///< largest reachable w after the last task
-  int checkpoint_stride = 0;  ///< tasks between cp_values rows
-  std::vector<std::vector<double>> cp_values;  ///< value row per stride boundary
-  std::vector<std::size_t> cp_reach;           ///< reachability per boundary
-};
-
 /// Buffers reused across the guess-refinement rounds of one FPTAS solve.
 struct FptasScratch {
   std::vector<std::size_t> movable;  ///< task indices with penalty <= guess

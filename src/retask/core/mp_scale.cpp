@@ -1,56 +1,21 @@
 #include "retask/core/mp_scale.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
-#include <unordered_map>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "retask/batch/lockstep.hpp"
 #include "retask/cache/energy_memo.hpp"
-#include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
 #include "retask/core/exact_dp.hpp"
 #include "retask/core/lower_bound.hpp"
 #include "retask/obs/metrics.hpp"
-#include "retask/serve/delta_solver.hpp"
 
 namespace retask {
-namespace {
-
-/// A screened commit applied while the PE had no DeltaSolver yet. Replayed
-/// through the public admit/remove API after a table adoption, so the
-/// adopted solver reaches exactly the state a cold admit_all over the
-/// current member set would have reached.
-struct PendingOp {
-  bool admit = false;
-  int id = 0;
-  FrameTask task;  ///< only meaningful for admissions
-};
-
-/// Per-PE state of the local search. `member`/`accepted` mirror the PE's
-/// resident set in order; once `delta` exists it is the source of truth and
-/// refresh_from_delta re-derives both from it.
-struct PeState {
-  std::vector<std::size_t> member;  ///< global task indices, resident order
-  std::vector<char> accepted;       ///< local accept mask, aligned with member
-  double objective = 0.0;           ///< E(load) + locally rejected penalties
-  Cycles accepted_load = 0;
-  std::unique_ptr<DeltaSolver> delta;
-  std::vector<PendingOp> ops;  ///< screened commits since phase 2 (export PEs only)
-};
-
-/// One lockstep chunk of the per-PE solve phase: PEs (by index) whose
-/// subproblems share a shape.
-struct PeChunk {
-  std::vector<std::size_t> pes;
-};
-
-}  // namespace
 
 RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) const {
   const std::size_t n = problem.size();
@@ -58,103 +23,127 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
   const Cycles capacity = problem.cycle_capacity();
   RETASK_COUNT("mp.scale_solves", 1);
 
-  // --- Phase 1: capacity pruning + O(n log m) placement -------------------
-  // location[i]: PE index, or -1 for tasks entering the solve rejected
-  // (oversized, or FFD overflow). Oversized tasks can never be accepted on
-  // any PE, so they skip placement entirely instead of skewing bin loads.
-  std::vector<int> location(n, -1);
-  std::vector<char> oversized(n, 0);
-  std::vector<std::size_t> placeable;
-  placeable.reserve(n);
-  std::uint64_t oversized_rejected = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (problem.tasks()[i].cycles > capacity) {
-      oversized[i] = 1;
-      ++oversized_rejected;
-    } else {
-      placeable.push_back(i);
-    }
-  }
-  RETASK_COUNT("mp.oversized_rejected", oversized_rejected);
+  // One memo for the placement probes and every per-PE select. All loads
+  // lie in [0, min(capacity, total cycles)]; the attached row makes that
+  // range dense and lets the pool's shards share one E(w) row, so each
+  // value is computed once per solve instead of once per worker thread.
+  const auto memo = std::make_shared<EnergyMemo>();
+  memo->attach_row(EnergyMemo::make_row(std::min(capacity, problem.tasks().total_cycles())));
+  const auto energy_at = [&](Cycles cycles) {
+    return memo->get_or_compute(cycles, [&](Cycles c) {
+      return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(c));
+    });
+  };
 
-  std::vector<PeState> pe(m);
+  // --- Steps 1-2: least-loaded marginal placement, then the deal ----------
+  // pe_of[i]: the PE whose exact solve sees task i, or -1 for oversized
+  // tasks, which can never be accepted on any PE.
+  std::vector<int> pe_of(n, -1);
   {
     RETASK_SCOPED_TIMER("mp.partition_ns");
-    std::vector<double> weights(placeable.size());
-    for (std::size_t k = 0; k < placeable.size(); ++k) {
-      weights[k] = static_cast<double>(problem.tasks()[placeable[k]].cycles);
-    }
-    const bool capacity_policy = config_.partition == PartitionPolicy::kFirstFit ||
-                                 config_.partition == PartitionPolicy::kBestFit ||
-                                 config_.partition == PartitionPolicy::kFirstFitDecreasing;
-    const Partition partition =
-        partition_items(weights, problem.processor_count(), config_.partition,
-                        capacity_policy ? static_cast<double>(capacity) : 0.0);
-    std::uint64_t overflow_rejected = 0;
-    for (std::size_t k = 0; k < placeable.size(); ++k) {
-      const int b = partition.bin_of[k];
-      if (b < 0) {
-        ++overflow_rejected;  // FFD rejection: fits on no PE at current loads
-        continue;
-      }
-      location[placeable[k]] = b;
-    }
-    RETASK_COUNT("mp.overflow_rejected", overflow_rejected);
-    // Bucket by PE in one pass; global index order becomes resident order.
+    std::vector<std::size_t> placeable;
+    placeable.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (location[i] >= 0) pe[static_cast<std::size_t>(location[i])].member.push_back(i);
+      if (problem.tasks()[i].cycles <= capacity) placeable.push_back(i);
     }
+    RETASK_COUNT("mp.oversized_rejected", n - placeable.size());
+    std::vector<std::size_t> order = placeable;
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return problem.tasks()[a].cycles > problem.tasks()[b].cycles;
+    });
+
+    std::vector<Cycles> load(m, 0);
+    std::set<std::pair<Cycles, std::size_t>> by_load;  // begin(): least loaded, lowest index
+    for (std::size_t p = 0; p < m; ++p) by_load.emplace(0, p);
+    const auto add_load = [&](std::size_t p, Cycles cycles) {
+      by_load.erase({load[p], p});
+      load[p] += cycles;
+      by_load.emplace(load[p], p);
+    };
+    // Places task i by the rule and returns what it now costs: its marginal
+    // energy when accepted, else its penalty.
+    const auto place = [&](std::size_t i) {
+      const FrameTask& task = problem.tasks()[i];
+      const auto [least, p] = *by_load.begin();
+      if (least + task.cycles <= capacity) {
+        const double marginal = energy_at(least + task.cycles) - energy_at(least);
+        if (marginal < task.penalty) {
+          add_load(p, task.cycles);
+          pe_of[i] = static_cast<int>(p);
+          return marginal;
+        }
+      }
+      pe_of[i] = -1;
+      return task.penalty;
+    };
+    for (const std::size_t i : order) place(i);
+
+    for (int pass = 0; pass < 3; ++pass) {
+      bool changed = false;
+      for (const std::size_t i : placeable) {
+        const FrameTask& task = problem.tasks()[i];
+        double current_cost = task.penalty;
+        if (pe_of[i] >= 0) {
+          const auto p = static_cast<std::size_t>(pe_of[i]);
+          const double with_task = energy_at(load[p]);
+          add_load(p, -task.cycles);
+          current_cost = with_task - energy_at(load[p]);
+        }
+        if (place(i) + 1e-12 < current_cost) changed = true;
+      }
+      if (!changed) break;
+    }
+
+    std::uint64_t dealt = 0;
+    for (const std::size_t i : order) {
+      if (pe_of[i] >= 0) continue;
+      const std::size_t p = by_load.begin()->second;
+      add_load(p, problem.tasks()[i].cycles);
+      pe_of[i] = static_cast<int>(p);
+      ++dealt;
+    }
+    RETASK_COUNT("mp.dealt_candidates", dealt);
   }
 
-  // --- Phase 2: lockstep per-PE exact rejection ---------------------------
-  // All subproblems share the platform, so same_shape reduces to equal task
-  // counts; group PEs by size, cut groups into lane chunks, and shard the
-  // chunks across the pool. Each PE's solution is bit-identical to a solo
-  // ExactDpSolver solve, so chunking and job count cannot change a bit.
-  const auto memo = std::make_shared<EnergyMemo>();
-  // Every select sweep and probe evaluates E over loads in [0, capacity];
-  // the dense mode turns those tens of millions of replays into indexed
-  // loads instead of hash probes. The attached row reserves that range and
-  // lets the pool's shards share one E(w) row, so each value is computed
-  // once per solve instead of once per worker thread.
-  memo->attach_row(EnergyMemo::make_row(std::min(capacity, problem.tasks().total_cycles())));
+  // --- Step 3: lockstep per-PE exact rejection ----------------------------
+  std::vector<std::vector<std::size_t>> member(m);  // global indices, index order
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pe_of[i] >= 0) member[static_cast<std::size_t>(pe_of[i])].push_back(i);
+  }
   std::vector<std::unique_ptr<RejectionProblem>> sub(m);
   for (std::size_t p = 0; p < m; ++p) {
-    if (pe[p].member.empty()) continue;
+    if (member[p].empty()) continue;
     std::vector<FrameTask> local;
-    local.reserve(pe[p].member.size());
-    for (const std::size_t i : pe[p].member) local.push_back(problem.tasks()[i]);
+    local.reserve(member[p].size());
+    for (const std::size_t i : member[p]) local.push_back(problem.tasks()[i]);
     sub[p] = std::make_unique<RejectionProblem>(FrameTaskSet(std::move(local)), problem.curve(),
                                                 problem.work_per_cycle(), 1);
     sub[p]->attach_energy_memo(memo);
   }
 
+  // All subproblems share the platform, so same_shape reduces to equal task
+  // counts; group PEs by size, cut groups into lane chunks, and shard the
+  // chunks across the pool. Chunking and job count cannot change a bit.
   const int lanes = config_.lanes < 0 ? lockstep_lanes() : config_.lanes;
   const std::size_t chunk_lanes = lanes < 2 ? std::size_t{1} : static_cast<std::size_t>(lanes);
-  std::vector<PeChunk> chunks;
+  std::vector<std::vector<std::size_t>> chunks;  // PE indices per lockstep chunk
   {
     std::map<std::size_t, std::vector<std::size_t>> by_size;  // deterministic order
     for (std::size_t p = 0; p < m; ++p) {
-      if (sub[p] != nullptr) by_size[pe[p].member.size()].push_back(p);
+      if (sub[p] != nullptr) by_size[member[p].size()].push_back(p);
     }
     RETASK_COUNT("mp.pe_size_groups", by_size.size());
     for (const auto& [size, pes] : by_size) {
       (void)size;
       for (std::size_t pos = 0; pos < pes.size(); pos += chunk_lanes) {
-        PeChunk chunk;
         const std::size_t end = std::min(pes.size(), pos + chunk_lanes);
-        chunk.pes.assign(pes.begin() + static_cast<std::ptrdiff_t>(pos),
-                         pes.begin() + static_cast<std::ptrdiff_t>(end));
-        chunks.push_back(std::move(chunk));
+        chunks.emplace_back(pes.begin() + static_cast<std::ptrdiff_t>(pos),
+                            pes.begin() + static_cast<std::ptrdiff_t>(end));
       }
     }
   }
 
   std::vector<RejectionSolution> pe_solution(m);
-  // Phase-2 lockstep tables captured per PE for phase 3: a PE's first exact
-  // probe adopts its already-filled table instead of replaying the whole
-  // fill through admit_all. Slots stay empty for per-instance fallbacks.
-  std::vector<DpTableExport> pe_export(m);
   {
     RETASK_SCOPED_TIMER("mp.pe_solve_ns");
     const ExactDpSolver dp;
@@ -163,365 +152,23 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
         chunks.size(),
         [&](std::size_t c) {
           std::vector<const RejectionProblem*> chunk_problems;
-          chunk_problems.reserve(chunks[c].pes.size());
-          for (const std::size_t p : chunks[c].pes) chunk_problems.push_back(sub[p].get());
-          LockstepTables tables;
-          std::vector<RejectionSolution> solved = batch.solve_batch(chunk_problems, &tables);
-          for (std::size_t j = 0; j < chunks[c].pes.size(); ++j) {
-            pe_solution[chunks[c].pes[j]] = std::move(solved[j]);
-            pe_export[chunks[c].pes[j]] = std::move(tables.exports[j]);
+          chunk_problems.reserve(chunks[c].size());
+          for (const std::size_t p : chunks[c]) chunk_problems.push_back(sub[p].get());
+          std::vector<RejectionSolution> solved = batch.solve_batch(chunk_problems);
+          for (std::size_t j = 0; j < chunks[c].size(); ++j) {
+            pe_solution[chunks[c][j]] = std::move(solved[j]);
           }
         },
         config_.jobs);
   }
-  for (std::size_t p = 0; p < m; ++p) {
-    if (sub[p] == nullptr) continue;
-    const RejectionSolution& sol = pe_solution[p];
-    pe[p].accepted.assign(pe[p].member.size(), 0);
-    Cycles load = 0;
-    for (std::size_t k = 0; k < pe[p].member.size(); ++k) {
-      if (sol.accepted[k]) {
-        pe[p].accepted[k] = 1;
-        load += problem.tasks()[pe[p].member[k]].cycles;
-      }
-    }
-    pe[p].objective = sol.energy + sol.penalty;
-    pe[p].accepted_load = load;
-  }
 
-  // --- Phase 3: move/swap local search over per-PE DeltaSolvers -----------
-  std::uint64_t move_probes = 0;
-  std::uint64_t swap_probes = 0;
-  std::uint64_t moves_applied = 0;
-  std::uint64_t swaps_applied = 0;
-  std::uint64_t delta_built = 0;
-  if (config_.local_search_rounds > 0 && m >= 2 && n > 0) {
-    RETASK_SCOPED_TIMER("mp.local_search_ns");
-    std::unordered_map<int, std::size_t> index_of_id;
-    index_of_id.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) index_of_id.emplace(problem.tasks()[i].id, i);
-
-    const auto refresh_from_delta = [&](std::size_t p) {
-      PeState& state = pe[p];
-      const RejectionSolution& sol = state.delta->solution();
-      state.member.clear();
-      state.accepted.assign(state.delta->resident().size(), 0);
-      for (std::size_t k = 0; k < state.delta->resident().size(); ++k) {
-        const std::size_t gi = index_of_id.at(state.delta->resident()[k].id);
-        state.member.push_back(gi);
-        state.accepted[k] = sol.accepted[k] ? 1 : 0;
-        location[gi] = static_cast<int>(p);
-      }
-      state.objective = sol.energy + sol.penalty;
-      state.accepted_load = state.delta->accepted_load();
-    };
-
-    const auto ensure_delta = [&](std::size_t p) -> DeltaSolver& {
-      PeState& state = pe[p];
-      if (state.delta == nullptr) {
-        DeltaSolver::Config delta_config;
-        delta_config.shared_memo = memo;
-        const bool adopt = !pe_export[p].value.empty();
-        if (adopt) delta_config.checkpoint_stride = pe_export[p].checkpoint_stride;
-        state.delta = std::make_unique<DeltaSolver>(problem.curve(), problem.work_per_cycle(),
-                                                    delta_config);
-        if (adopt) {
-          // Seed from the phase-2 lockstep table: adoption is bit-identical
-          // to admit_all over the phase-2 resident set, and the screened
-          // commits recorded since are replayed through the public API, so
-          // the solver reaches exactly the cold seed's state without
-          // refilling a single DP cell.
-          std::vector<FrameTask> resident;
-          resident.reserve(sub[p]->size());
-          for (std::size_t k = 0; k < sub[p]->size(); ++k) resident.push_back(sub[p]->tasks()[k]);
-          state.delta->adopt_table(resident, std::move(pe_export[p]));
-          for (const PendingOp& op : state.ops) {
-            if (op.admit) {
-              state.delta->admit(op.task);
-            } else {
-              state.delta->remove(op.id);
-            }
-          }
-          state.ops.clear();
-        } else {
-          std::vector<FrameTask> resident;
-          resident.reserve(state.member.size());
-          for (const std::size_t i : state.member) resident.push_back(problem.tasks()[i]);
-          state.delta->admit_all(resident);
-        }
-        // For untouched PEs the seed replays the phase-2 fill exactly; after
-        // direct screened commits the tracked assignment is feasible but
-        // not necessarily optimal for the member set, so the seed's optimum
-        // may only ever be better (up to rounding in the tracked sum).
-        RETASK_ASSERT(state.member.empty() ||
-                      state.delta->solution().energy + state.delta->solution().penalty <=
-                          state.objective + 1e-6 * std::max(1.0, std::abs(state.objective)));
-        refresh_from_delta(p);
-        ++delta_built;
-      }
-      return *state.delta;
-    };
-
-    // Marginal-energy screen through the shared (dense) memo: the same
-    // E(cycles) evaluation the delta solvers perform, so screen loads feed
-    // the same cache the probes hit.
-    const auto screen_energy = [&](Cycles cycles) {
-      return memo->get_or_compute(cycles, [&](Cycles c) {
-        return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(c));
-      });
-    };
-    // Marginal cost of adding `extra` cycles to PE `target_pe` at its
-    // current accepted load, +inf when it cannot fit. An exact delta probe
-    // can beat this estimate (the DP may evict a cheaper task), but a
-    // candidate whose marginal cost already exceeds its penalty almost
-    // never survives one — screening those out keeps the O(W) probe +
-    // select machinery for the candidates with a real chance.
-    const auto marginal_cost = [&](std::size_t target_pe, Cycles removed, Cycles added) {
-      const Cycles before = pe[target_pe].accepted_load;
-      const Cycles after = before - removed + added;
-      if (after > capacity) return std::numeric_limits<double>::infinity();
-      return screen_energy(after) - screen_energy(before);
-    };
-
-    // Commit helpers. A screened commit is exact for its action (the accept
-    // sets change only as stated, so the marginals ARE the objective
-    // deltas) and needs no relaxation replay — direct O(1) state updates.
-    // PEs that already own a DeltaSolver route through it instead so the
-    // solver's resident set stays authoritative; its optimum can only
-    // improve on the screened action.
-    const auto accept_on = [&](std::size_t q, std::size_t gi, double gain) {
-      PeState& state = pe[q];
-      const FrameTask& t = problem.tasks()[gi];
-      if (state.delta != nullptr) {
-        state.delta->admit(t);
-        refresh_from_delta(q);
-      } else {
-        if (!pe_export[q].value.empty()) state.ops.push_back({true, t.id, t});
-        state.member.push_back(gi);
-        state.accepted.push_back(1);
-        state.accepted_load += t.cycles;
-        state.objective += gain;
-        location[gi] = static_cast<int>(q);
-      }
-    };
-    const auto drop_rejected = [&](std::size_t p, std::size_t gi) {
-      PeState& state = pe[p];
-      if (state.delta != nullptr) {
-        state.delta->remove(problem.tasks()[gi].id);
-        refresh_from_delta(p);
-      } else {
-        if (!pe_export[p].value.empty()) {
-          state.ops.push_back({false, problem.tasks()[gi].id, FrameTask{}});
-        }
-        const auto it = std::find(state.member.begin(), state.member.end(), gi);
-        RETASK_ASSERT(it != state.member.end());
-        const auto k = static_cast<std::size_t>(it - state.member.begin());
-        RETASK_ASSERT(!state.accepted[k]);
-        state.member.erase(it);
-        state.accepted.erase(state.accepted.begin() + static_cast<std::ptrdiff_t>(k));
-        state.objective -= problem.tasks()[gi].penalty;
-      }
-      location[gi] = -1;  // the caller re-places it immediately
-    };
-    const auto relocate_accepted = [&](std::size_t q, std::size_t r, std::size_t gj,
-                                       double q_gain, double r_gain) {
-      PeState& state = pe[q];
-      const FrameTask& t = problem.tasks()[gj];
-      if (state.delta != nullptr) {
-        state.delta->remove(t.id);
-        refresh_from_delta(q);
-      } else {
-        if (!pe_export[q].value.empty()) state.ops.push_back({false, t.id, FrameTask{}});
-        const auto it = std::find(state.member.begin(), state.member.end(), gj);
-        RETASK_ASSERT(it != state.member.end());
-        const auto k = static_cast<std::size_t>(it - state.member.begin());
-        RETASK_ASSERT(state.accepted[k]);
-        state.member.erase(it);
-        state.accepted.erase(state.accepted.begin() + static_cast<std::ptrdiff_t>(k));
-        state.accepted_load -= t.cycles;
-        state.objective += q_gain;
-      }
-      accept_on(r, gj, r_gain);
-    };
-
-    // Least-loaded target PE (ties: lowest index), excluding `skip`.
-    const auto least_loaded_except = [&](int skip) -> int {
-      int best = -1;
-      for (std::size_t q = 0; q < m; ++q) {
-        if (static_cast<int>(q) == skip) continue;
-        if (best < 0 || pe[q].accepted_load < pe[static_cast<std::size_t>(best)].accepted_load) {
-          best = static_cast<int>(q);
-        }
-      }
-      return best;
-    };
-
-    std::vector<std::pair<double, std::size_t>> candidates;  // (-penalty, index)
-    for (int round = 0; round < config_.local_search_rounds; ++round) {
-      std::uint64_t applied_this_round = 0;
-      // Candidates: every task currently paying its penalty (locally
-      // rejected or unplaced), except the hopeless oversized ones; highest
-      // penalty first — the most to gain from a better PE.
-      candidates.clear();
-      for (std::size_t p = 0; p < m; ++p) {
-        for (std::size_t k = 0; k < pe[p].member.size(); ++k) {
-          if (!pe[p].accepted[k]) candidates.emplace_back(-problem.tasks()[pe[p].member[k]].penalty,
-                                                          pe[p].member[k]);
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (location[i] < 0 && !oversized[i]) candidates.emplace_back(-problem.tasks()[i].penalty, i);
-      }
-      std::sort(candidates.begin(), candidates.end());
-      if (candidates.size() > static_cast<std::size_t>(config_.max_move_probes)) {
-        candidates.resize(static_cast<std::size_t>(config_.max_move_probes));
-      }
-
-      std::uint64_t swap_budget = static_cast<std::uint64_t>(config_.max_swap_probes);
-      std::uint64_t exact_budget = static_cast<std::uint64_t>(config_.max_exact_probes);
-      for (const auto& [neg_penalty, gi] : candidates) {
-        (void)neg_penalty;
-        const FrameTask& task = problem.tasks()[gi];
-        const int p = location[gi];
-        if (p >= 0) {
-          // The candidate list is a snapshot; a commit may have changed this
-          // task's status since. Re-check against the live mask.
-          const PeState& source = pe[static_cast<std::size_t>(p)];
-          const auto it = std::find(source.member.begin(), source.member.end(), gi);
-          RETASK_ASSERT(it != source.member.end());
-          if (source.accepted[static_cast<std::size_t>(it - source.member.begin())]) continue;
-        }
-        const int q = least_loaded_except(p);
-        if (q < 0) break;  // m == 1: nowhere to move
-        const auto qs = static_cast<std::size_t>(q);
-
-        // Screened move: accepting gi on q as-is changes the objective by
-        // exactly marginal - penalty (removing a locally rejected task
-        // cannot change its source's accept set, so that side is a pure
-        // -penalty). A passing screen commits directly.
-        if (marginal_cost(qs, 0, task.cycles) < task.penalty) {
-          const Cycles q_load = pe[qs].accepted_load;
-          const double gain = screen_energy(q_load + task.cycles) - screen_energy(q_load);
-          if (p >= 0) drop_rejected(static_cast<std::size_t>(p), gi);
-          accept_on(qs, gi, gain);
-          ++moves_applied;
-          ++applied_this_round;
-          continue;
-        }
-
-        // Screened swap: make room on q by relocating its largest accepted
-        // task j to the least-loaded third PE r, then accept gi on q. Both
-        // marginals are exact for the as-is accept sets, so this commits
-        // directly too.
-        std::size_t j_local = pe[qs].member.size();
-        Cycles j_cycles = -1;
-        for (std::size_t k = 0; k < pe[qs].member.size(); ++k) {
-          if (pe[qs].accepted[k] && problem.tasks()[pe[qs].member[k]].cycles > j_cycles) {
-            j_local = k;
-            j_cycles = problem.tasks()[pe[qs].member[k]].cycles;
-          }
-        }
-        if (j_local != pe[qs].member.size()) {
-          const std::size_t gj = pe[qs].member[j_local];
-          const FrameTask& jtask = problem.tasks()[gj];
-          const int r = least_loaded_except(q);
-          if (r >= 0 && r != p &&
-              marginal_cost(qs, jtask.cycles, task.cycles) +
-                      marginal_cost(static_cast<std::size_t>(r), 0, jtask.cycles) <
-                  task.penalty) {
-            const auto rs = static_cast<std::size_t>(r);
-            const Cycles q_load = pe[qs].accepted_load;
-            const Cycles r_load = pe[rs].accepted_load;
-            const double q_drop =
-                screen_energy(q_load - jtask.cycles) - screen_energy(q_load);
-            const double q_add = screen_energy(q_load - jtask.cycles + task.cycles) -
-                                 screen_energy(q_load - jtask.cycles);
-            const double r_add = screen_energy(r_load + jtask.cycles) - screen_energy(r_load);
-            relocate_accepted(qs, rs, gj, q_drop, r_add);
-            if (p >= 0) drop_rejected(static_cast<std::size_t>(p), gi);
-            accept_on(qs, gi, q_add);
-            ++swaps_applied;
-            ++applied_this_round;
-            continue;
-          }
-        }
-
-        // Escalation: the exact relaxation can admit gi by rearranging q
-        // (evicting cheaper tasks), which no marginal screen sees. The
-        // first probe on a PE pays a full DeltaSolver seed, so only the
-        // highest-penalty screen failures — the candidates with the most
-        // to gain — get one.
-        if (exact_budget == 0) continue;
-        --exact_budget;
-        ++move_probes;
-        DeltaSolver& target = ensure_delta(qs);
-        const double q_before = pe[qs].objective;
-        const RejectionSolution& probed = target.admit(task);
-        const double q_after = probed.energy + probed.penalty;
-        const double move_delta = (q_after - q_before) - task.penalty;
-        const double tol = -1e-12 * std::max(1.0, q_before + task.penalty);
-        if (move_delta < tol) {
-          if (p >= 0) drop_rejected(static_cast<std::size_t>(p), gi);
-          refresh_from_delta(qs);
-          ++moves_applied;
-          ++applied_this_round;
-          continue;
-        }
-        target.remove(task.id);  // undo: pops the appended task, replay is
-                                 // checkpoint-local, state returns bitwise
-
-        // Exact swap probe behind the same escalation gate.
-        if (swap_budget == 0 || j_local == pe[qs].member.size()) continue;
-        const std::size_t gj = pe[qs].member[j_local];
-        const FrameTask& jtask = problem.tasks()[gj];
-        const int r = least_loaded_except(q);
-        if (r < 0 || r == p) continue;  // no third PE to absorb j
-        const auto rs = static_cast<std::size_t>(r);
-        --swap_budget;
-        ++swap_probes;
-        DeltaSolver& third = ensure_delta(rs);
-        const double r_before = pe[rs].objective;
-        target.remove(jtask.id);
-        const RejectionSolution& q_probe = target.admit(task);
-        const double q_swapped = q_probe.energy + q_probe.penalty;
-        const RejectionSolution& r_probe = third.admit(jtask);
-        const double r_after = r_probe.energy + r_probe.penalty;
-        const double swap_delta =
-            (q_swapped - q_before) + (r_after - r_before) - task.penalty;
-        const double swap_tol = -1e-12 * std::max(1.0, q_before + r_before + task.penalty);
-        if (swap_delta < swap_tol) {
-          if (p >= 0) drop_rejected(static_cast<std::size_t>(p), gi);
-          refresh_from_delta(qs);
-          refresh_from_delta(rs);
-          ++swaps_applied;
-          ++applied_this_round;
-          continue;
-        }
-        // Undo in reverse. Re-admitting j appends it at the end of q's
-        // residual order — same set, same optimum value; the value row is
-        // rebuilt deterministically, so the search stays reproducible.
-        third.remove(jtask.id);
-        target.remove(task.id);
-        target.admit(jtask);
-        refresh_from_delta(qs);
-      }
-      if (applied_this_round == 0) break;
-    }
-  }
-  RETASK_COUNT("mp.move_probes", move_probes);
-  RETASK_COUNT("mp.swap_probes", swap_probes);
-  RETASK_COUNT("mp.moves_applied", moves_applied);
-  RETASK_COUNT("mp.swaps_applied", swaps_applied);
-  RETASK_COUNT("mp.delta_solvers_built", delta_built);
-
-  // --- Final assembly -----------------------------------------------------
   std::vector<bool> accepted(n, false);
   std::vector<int> processor_of(n, -1);
   for (std::size_t p = 0; p < m; ++p) {
-    for (std::size_t k = 0; k < pe[p].member.size(); ++k) {
-      if (pe[p].accepted[k]) {
-        accepted[pe[p].member[k]] = true;
-        processor_of[pe[p].member[k]] = static_cast<int>(p);
+    for (std::size_t k = 0; k < member[p].size(); ++k) {
+      if (pe_solution[p].accepted[k]) {
+        accepted[member[p][k]] = true;
+        processor_of[member[p][k]] = static_cast<int>(p);
       }
     }
   }

@@ -1,63 +1,46 @@
-// Many-core partitioned rejection solver (the scale path of ROADMAP item 2).
+// Many-core partitioned rejection solver: least-loaded marginal placement
+// plus exact per-PE solves.
 //
-// The toy-scale composition (MultiProcLtfRejectSolver) re-sorts, linearly
-// scans m bins per task, and cold-solves every per-processor subproblem one
-// after another. This solver keeps the same three-phase structure — place,
-// solve each PE's rejection subproblem optimally, improve — but every phase
-// is built for m in the hundreds and n in the tens of thousands:
+// On a partitioned platform each PE's share of the objective Energy(A) + Σρ
+// is exactly the single-PE rejection problem the prefix DP solves. This
+// solver therefore spends its effort there and keeps the rest simple:
 //
-//  1. Placement is O(n log m): the heap-based least-loaded partitioner
-//     (sched/partition.hpp) for LTF, or FFD-with-rejection under the per-PE
-//     cycle capacity. Tasks no processor can ever hold (cycles > capacity)
-//     are pruned before placement — they are rejected in every feasible
-//     solution, so carrying their weight through the partition only skews
-//     the balance (the Lagrangian bound prices them the same way).
-//  2. The m independent per-PE exact-DP solves run through the lockstep
-//     batch solver (batch/lockstep.hpp): same-size subproblems share lanes
-//     (fused select energy evaluations), and the lane chunks are sharded
-//     across the parallel_for pool. Every PE's solution is bit-identical to
-//     a solo ExactDpSolver solve of its subproblem, so the phase is
-//     invariant to RETASK_JOBS, RETASK_BATCH, and the SIMD backend. The
-//     subproblems share one dense EnergyMemo backed by one EnergyRow
-//     (cache/energy_row.hpp), so the pool computes each E(w) once per solve
-//     rather than once per worker thread.
-//  3. A move/swap local search re-seats locally-rejected tasks on the
-//     least-loaded PE. Probes go through per-PE DeltaSolver instances
-//     (serve/delta_solver.hpp): one O(W) admit-relaxation per probe and a
-//     checkpointed-replay undo, instead of a cold O(n_p * W) re-solve. The
-//     solvers are built lazily (only PEs the search touches pay the table
-//     fill) and share phase 2's EnergyMemo — all PEs of one instance are the
-//     same platform, so their probe loads hit one cache.
+//  1. Placement, serial and O(n log m). Tasks no processor can ever hold
+//     (cycles > capacity) are pruned: they are rejected in every feasible
+//     solution. The others go in descending cycles (stable) to the
+//     least-loaded PE (ties: lowest index), accepted if they fit and their
+//     marginal energy E(l + c) − E(l) is below their penalty, rejected
+//     otherwise. Up to three improvement passes then re-place every task in
+//     index order by the same rule, stopping after a pass where no
+//     re-placement beat its current cost by more than 1e-12.
+//  2. Deal. The placement-rejected tasks, in descending cycles, each go to
+//     the PE with the least accepted-plus-dealt cycles (ties: lowest index)
+//     as candidates: the exact solve decides whether they pay there.
+//  3. Exact per-PE solves. Each PE's members (global index order) form one
+//     single-PE rejection problem. The m solves run through the lockstep
+//     batch solver (batch/lockstep.hpp), sharded across the parallel_for
+//     pool; every PE's solution is bit-identical to a solo ExactDpSolver
+//     solve, so the result is invariant to RETASK_JOBS, RETASK_BATCH and
+//     the SIMD backend. Placement and the subproblems read energies through
+//     one dense EnergyMemo backed by one EnergyRow (cache/energy_row.hpp),
+//     so each E(w) is computed once per solve.
 //
-// The search is serial and deterministic; all parallelism lives in phase 2,
-// whose lanes are bit-exact. Counters: the mp.* family (probes, moves,
-// swaps, delta solvers built, oversized/overflow rejections, bound gap).
+// Each PE's exact solve is at least as good as the placement's accept set
+// on that PE, so the result never exceeds the placement's objective.
+// verify/reference.hpp's mp_scale_reference states the same semantics
+// without caches, lanes or threads; retask_fuzz --mp-diff compares the two
+// bit for bit. Counters: mp.scale_solves, mp.oversized_rejected,
+// mp.dealt_candidates, mp.pe_size_groups, mp.bound_gap_permille; timers
+// mp.partition_ns (steps 1-2) and mp.pe_solve_ns (step 3).
 #ifndef RETASK_CORE_MP_SCALE_HPP
 #define RETASK_CORE_MP_SCALE_HPP
 
 #include "retask/core/solver.hpp"
-#include "retask/sched/partition.hpp"
 
 namespace retask {
 
-/// Knobs of the many-core solve. Defaults are the benchmarked configuration.
+/// Knobs of the many-core solve. None changes a solution bit.
 struct MpScaleConfig {
-  /// Placement policy: kLargestFirst (balance-driven LTF, the paper's
-  /// pedigree) or kFirstFitDecreasing (feasibility-driven FFD with
-  /// rejection). Other policies are accepted but unusual.
-  PartitionPolicy partition = PartitionPolicy::kLargestFirst;
-  /// Move/swap local-search rounds; 0 disables the improvement phase.
-  int local_search_rounds = 2;
-  /// Per-round cap on move probes (the highest-penalty locally-rejected
-  /// tasks are probed first) and on the more expensive two-PE swap probes.
-  int max_move_probes = 4096;
-  int max_swap_probes = 256;
-  /// Per-round cap on escalated exact probes. A screened-out candidate can
-  /// still be admittable by rearranging the target PE — the relaxation sees
-  /// evictions the marginal screen cannot — but the first probe on a PE
-  /// pays a full DeltaSolver seed, so only the highest-penalty screen
-  /// failures get one.
-  int max_exact_probes = 16;
   /// Lockstep lanes for the per-PE solves; -1 resolves RETASK_BATCH.
   int lanes = -1;
   /// parallel_for jobs for the per-PE solves; 0 resolves RETASK_JOBS.
@@ -67,8 +50,8 @@ struct MpScaleConfig {
   bool record_bound_gap = false;
 };
 
-/// O(n log m) partition + lockstep per-PE exact rejection + delta-driven
-/// move/swap local search. Registry name "mp-scale".
+/// O(n log m) least-loaded marginal placement + lockstep per-PE exact
+/// rejection. Registry name "mp-scale".
 class MultiProcScaleSolver final : public RejectionSolver {
  public:
   MultiProcScaleSolver() = default;

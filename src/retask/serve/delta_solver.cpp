@@ -38,16 +38,12 @@ DeltaSolver::DeltaSolver(EnergyCurve curve, double work_per_cycle, Config config
   table_.value.assign(width_, kNegInf);
   table_.value[0] = 0.0;
   table_.take.reset(0, width_);
-  if (config_.shared_memo != nullptr) {
-    memo_ = config_.shared_memo;  // keeps its owner's dense reservation
-  } else {
-    // Every select sweeps loads in [0, capacity]: a dense row (one extra
-    // W + 1 doubles, allocated on first use) lets the chunked select read
-    // energies in place instead of probing a hash per row. Capacities
-    // beyond EnergyMemo::kDenseLimit keep the hash path.
-    memo_ = std::make_shared<EnergyMemo>();
-    memo_->reserve_dense(cycle_capacity_);
-  }
+  // Every select sweeps loads in [0, capacity]: a dense row (one extra
+  // W + 1 doubles, allocated on first use) lets the chunked select read
+  // energies in place instead of probing a hash per row. Capacities
+  // beyond EnergyMemo::kDenseLimit keep the hash path.
+  memo_ = std::make_shared<EnergyMemo>();
+  memo_->reserve_dense(cycle_capacity_);
   select();
 }
 
@@ -100,9 +96,7 @@ void DeltaSolver::drop_checkpoints_to(std::size_t count) {
 
 void DeltaSolver::replay_from(std::size_t invalidated) {
   const auto stride = static_cast<std::size_t>(config_.checkpoint_stride);
-  // Checkpoints still valid; clamped so a retained-row shortfall (an
-  // adopted table whose producer captured fewer rows than dense) degrades
-  // to a longer replay instead of an out-of-range read.
+  // Checkpoints still valid (rows are dense at the stride).
   const std::size_t keep = std::min(invalidated / stride, cp_values_.size());
   drop_checkpoints_to(keep);
   const std::size_t start = keep * stride;
@@ -142,84 +136,6 @@ const RejectionSolution& DeltaSolver::admit(const FrameTask& task) {
   push_checkpoint_if_due(i + 1);
   ++delta_hits_;
   RETASK_COUNT("serve.delta_hits", 1);
-  select();
-  return solution_;
-}
-
-const RejectionSolution& DeltaSolver::admit_all(const std::vector<FrameTask>& tasks) {
-  double penalty = penalty_total();
-  for (const FrameTask& task : tasks) {
-    validate(task);
-    require(index_of(task.id) == kNone, "DeltaSolver::admit_all: task id already resident");
-    require(task.cycles <= kMaxCycles - total_cycles_,
-            "DeltaSolver::admit_all: resident cycle total would overflow");
-    penalty += task.penalty;
-    require(std::isfinite(penalty),
-            "DeltaSolver::admit_all: resident penalty total would overflow");
-    tasks_.push_back(task);  // visible to index_of: later duplicates rejected
-    total_cycles_ += task.cycles;
-    const std::size_t i = tasks_.size() - 1;
-    ensure_rows(i + 1);
-    relax_row(i);
-    push_checkpoint_if_due(i + 1);
-    ++delta_hits_;
-  }
-  RETASK_COUNT("serve.delta_hits", tasks.size());
-  select();
-  return solution_;
-}
-
-const RejectionSolution& DeltaSolver::adopt_table(const std::vector<FrameTask>& tasks,
-                                                  DpTableExport table) {
-  require(tasks_.empty(), "DeltaSolver::adopt_table: solver already has resident tasks");
-  const std::size_t n = tasks.size();
-  require(!table.value.empty() && table.value.size() <= width_,
-          "DeltaSolver::adopt_table: exported width exceeds the platform capacity");
-  require(table.take.rows() == n, "DeltaSolver::adopt_table: choice rows != task count");
-  require(table.checkpoint_stride >= 1, "DeltaSolver::adopt_table: checkpoint_stride must be >= 1");
-  const auto stride = static_cast<std::size_t>(table.checkpoint_stride);
-  require(table.cp_values.size() == n / stride && table.cp_reach.size() == table.cp_values.size(),
-          "DeltaSolver::adopt_table: checkpoint rows must be dense at the stride");
-  double penalty = 0.0;
-  for (const FrameTask& task : tasks) {
-    validate(task);
-    require(index_of(task.id) == kNone, "DeltaSolver::adopt_table: duplicate task id");
-    require(task.cycles <= kMaxCycles - total_cycles_,
-            "DeltaSolver::adopt_table: resident cycle total would overflow");
-    penalty += task.penalty;
-    require(std::isfinite(penalty),
-            "DeltaSolver::adopt_table: resident penalty total would overflow");
-    tasks_.push_back(task);  // visible to index_of: later duplicates rejected
-    total_cycles_ += task.cycles;
-  }
-
-  // Rebind the checkpoint cadence to the export's so push_checkpoint_if_due
-  // keeps the dense invariant (cp_values_[c] is the row after (c + 1) *
-  // stride tasks) across future admissions. The stride never affects a
-  // solution bit, only replay cost.
-  config_.checkpoint_stride = table.checkpoint_stride;
-  drop_checkpoints_to(0);
-  for (std::size_t c = 0; c < table.cp_values.size(); ++c) {
-    table.cp_values[c].resize(width_, kNegInf);  // rows above the export stay unreachable
-    cp_values_.push_back(std::move(table.cp_values[c]));
-    cp_reach_.push_back(table.cp_reach[c]);
-  }
-
-  ensure_rows(n);
-  std::copy(table.value.begin(), table.value.end(), table_.value.begin());
-  std::fill(table_.value.begin() + static_cast<std::ptrdiff_t>(table.value.size()),
-            table_.value.end(), kNegInf);
-  reachable_ = table.reachable;
-  const std::size_t src_words = table.take.words_per_row();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t* row = table_.take.row_words(i);
-    std::copy_n(table.take.row_words(i), src_words, row);
-    std::fill(row + src_words, row + table_.take.words_per_row(), std::uint64_t{0});
-  }
-
-  ++delta_hits_;
-  RETASK_COUNT("serve.delta_hits", 1);
-  RETASK_COUNT("delta.table_adoptions", 1);
   select();
   return solution_;
 }

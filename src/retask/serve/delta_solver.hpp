@@ -68,14 +68,6 @@ class DeltaSolver {
     /// the replay cost of a removal near the end of the set at the price of
     /// more retained rows; must be >= 1.
     int checkpoint_stride = 16;
-    /// Energy memo to share with other solvers of the SAME platform (curve +
-    /// work_per_cycle) — e.g. the per-PE solvers of one multiprocessor
-    /// instance, whose loads heavily overlap. Null: the solver creates its
-    /// own, with a dense row reserved over [0, capacity]; a shared memo
-    /// keeps whatever reservation its owner made. Sharing is safe (the
-    /// memoized value is a pure function of the cycles) and cannot change a
-    /// solution bit.
-    std::shared_ptr<EnergyMemo> shared_memo;
   };
 
   DeltaSolver(EnergyCurve curve, double work_per_cycle) : DeltaSolver(std::move(curve), work_per_cycle, Config()) {}
@@ -86,25 +78,6 @@ class DeltaSolver {
   /// is solution().accepted.back() — an admitted task may be rejected, and
   /// admitting one task may evict a previously accepted one.
   const RejectionSolution& admit(const FrameTask& task);
-
-  /// Bulk admission: appends every task (validated; ids must be new and
-  /// pairwise distinct) with ONE select at the end instead of one per task.
-  /// The resulting state — table, checkpoints, solution — is bit-identical
-  /// to admitting the tasks one at a time in order; only the intermediate
-  /// solutions are skipped. Seeding path of the multiprocessor local search.
-  const RejectionSolution& admit_all(const std::vector<FrameTask>& tasks);
-
-  /// Adopts an already-filled DP table instead of replaying the fill: the
-  /// solver (which must still be empty) becomes bit-identical to
-  /// admit_all(tasks) without touching a single DP cell. `table` must be
-  /// the exact-DP fill over `tasks` in order at a capacity covering every
-  /// reachable row (rows above the exported width are unreachable and stay
-  /// -inf), with DENSE value-row checkpoints every `checkpoint_stride`
-  /// tasks — exactly what the lockstep lanes capture (batch/lockstep.hpp
-  /// LockstepTables). The solver's checkpoint stride is rebound to the
-  /// export's. Every later admit / remove / reprice replays through the
-  /// adopted rows and stays bit-identical to a cold-seeded solver.
-  const RejectionSolution& adopt_table(const std::vector<FrameTask>& tasks, DpTableExport table);
 
   /// Removes the resident task with `id` (throws when unknown) and returns
   /// the new optimal solution.

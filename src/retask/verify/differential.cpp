@@ -724,28 +724,17 @@ std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,
       }
     }
 
-    // 3a) Composition: local search off + LTF placement + no oversized task
-    // reduces mp-scale to exactly the mp-ltf-dp pipeline (same partition,
-    // lockstep-solved subproblems bit-identical to its solo DP solves).
-    bool oversized = false;
-    for (std::size_t i = 0; i < problem.size(); ++i) {
-      oversized = oversized || problem.tasks()[i].cycles > problem.cycle_capacity();
-    }
-    if (!oversized) {
-      MpScaleConfig ltf_config;
-      ltf_config.local_search_rounds = 0;
-      const RejectionSolution scale = MultiProcScaleSolver(ltf_config).solve(problem);
-      const RejectionSolution ltf = MultiProcLtfRejectSolver().solve(problem);
-      if (!same_solution(scale, ltf)) {
-        mismatch("mp-scale", "rounds=0 objective " + fmt(scale.objective()) +
-                                 " != mp-ltf-dp " + fmt(ltf.objective()) +
-                                 " (composition identity, no oversized tasks)");
-      }
+    // 3a) mp-scale vs its cache-free reference (linear least-loaded scans,
+    // energies straight from the curve, serial cold per-PE ExactDpSolver).
+    const RejectionSolution ref = mp_scale_reference(problem);
+    if (!same_solution(base, ref)) {
+      mismatch("mp-scale", "objective " + fmt(base.objective()) + " != cache-free reference " +
+                               fmt(ref.objective()) + " (or masks/bindings differ)");
     }
 
     // 3b) Bound soundness: no feasible solution may undercut the Lagrangian
-    // lower bound (checked on the local-search solution, the strongest one
-    // at hand).
+    // lower bound (checked on the mp-scale solution, the strongest one at
+    // hand).
     const double bound = multiproc_lower_bound(problem);
     if (base.objective() < bound - 1e-9 * std::max(1.0, bound)) {
       mismatch("mp-lower-bound", "mp-scale objective " + fmt(base.objective()) +

@@ -154,10 +154,10 @@ std::vector<PropertyViolation> check_stochastic_diff(const InstanceSpec& spec,
 /// solution for solution; (2) the mp-scale
 /// solver's invariance contract — solutions at different jobs / lockstep
 /// lane counts and under every available SIMD backend must be bitwise
-/// identical; (3) composition identities — with local search off and no
-/// oversized task, mp-scale under LTF placement reproduces mp-ltf-dp
-/// bitwise, and every produced solution's objective stays at or above the
-/// multiprocessor Lagrangian lower bound (soundness of core/lower_bound).
+/// identical; (3) mp-scale equals its cache-free reference
+/// (`mp_scale_reference`) bit for bit, and its objective stays at or above
+/// the multiprocessor Lagrangian lower bound (soundness of
+/// core/lower_bound).
 /// Violations are "mp-diff". Layers 2-3 need processor_count >= 2; layer 1
 /// runs on every instance.
 std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,

@@ -23,6 +23,17 @@ namespace retask {
 /// than 1e-12.
 RejectionSolution mp_greedy_reference(const RejectionProblem& problem);
 
+/// MultiProcScaleSolver's semantics: tasks with cycles above the capacity
+/// are rejected; the rest go in descending cycles (stable) to the
+/// least-loaded processor (smallest (load, index), found by a linear scan),
+/// accepted there if they fit and their marginal energy is below their
+/// penalty; the same three improvement passes as mp_greedy_reference
+/// re-place them by that rule; the tasks still rejected are dealt, in
+/// descending cycles, to the processor with the least accepted-plus-dealt
+/// cycles; finally a serial cold ExactDpSolver solves each processor's
+/// members in index order.
+RejectionSolution mp_scale_reference(const RejectionProblem& problem);
+
 }  // namespace retask
 
 #endif  // RETASK_VERIFY_REFERENCE_HPP

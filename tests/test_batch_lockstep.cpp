@@ -249,38 +249,6 @@ TEST(BatchLockstep, HarnessLockstepMatchesUnbatchedRuns) {
   }
 }
 
-TEST(BatchLockstep, SolveBatchCapturesTablesForLockstepLanesOnly) {
-  // Exact-DP lanes export their filled tables; fallback routes (singleton
-  // tails, no-lockstep bases) leave their LockstepTables slots empty.
-  const std::vector<RejectionProblem> fleet = make_fleet(5, 901);
-  const std::vector<const RejectionProblem*> ptrs = pointers(fleet);
-  const ExactDpSolver exact;
-  LockstepTables tables;
-  const std::vector<RejectionSolution> solved =
-      BatchRejectionSolver(exact, BatchConfig{4}).solve_batch(ptrs, &tables);
-  expect_identical(solved, solve_solo(exact, ptrs));
-  ASSERT_EQ(tables.exports.size(), fleet.size());
-  for (std::size_t i = 0; i + 1 < fleet.size(); ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
-    const DpTableExport& table = tables.exports[i];
-    ASSERT_FALSE(table.value.empty());
-    EXPECT_EQ(table.take.rows(), fleet[i].size());
-    EXPECT_GE(table.checkpoint_stride, 1);
-    EXPECT_EQ(table.cp_values.size(), fleet[i].size() / static_cast<std::size_t>(
-                                          table.checkpoint_stride));
-    EXPECT_EQ(table.cp_reach.size(), table.cp_values.size());
-  }
-  // The 5th instance is a singleton tail -> scalar fallback, no capture.
-  EXPECT_TRUE(tables.exports.back().value.empty());
-
-  // A base without a lockstep body captures nothing anywhere.
-  const FptasSolver fptas(0.1);
-  LockstepTables none;
-  BatchRejectionSolver(fptas, BatchConfig{4}).solve_batch(ptrs, &none);
-  ASSERT_EQ(none.exports.size(), fleet.size());
-  for (const DpTableExport& table : none.exports) EXPECT_TRUE(table.value.empty());
-}
-
 TEST(BatchLockstep, SameShapeRejectsDifferentGeometry) {
   const RejectionProblem a = test::small_instance(601, 10);
   const RejectionProblem b = test::small_instance(602, 10);

@@ -288,35 +288,6 @@ TEST(Metrics, SolverRunPopulatesScopedRegistry) {
   EXPECT_GT(metrics.counter(touched), 0u);
 }
 
-// Table handoff: a lockstep capture adopted into a DeltaSolver counts one
-// delta.table_adoptions (and a delta hit), not a cold fall.
-TEST(Metrics, TableAdoptionIsCounted) {
-  std::vector<RejectionProblem> fleet;
-  for (std::uint64_t seed = 61; seed < 65; ++seed) {
-    fleet.push_back(test::small_instance(seed, 10, 1.5));
-  }
-  std::vector<const RejectionProblem*> ptrs;
-  for (const RejectionProblem& p : fleet) ptrs.push_back(&p);
-  const ExactDpSolver exact;
-  LockstepTables tables;
-  BatchRejectionSolver(exact, BatchConfig{4}).solve_batch(ptrs, &tables);
-  ASSERT_FALSE(tables.exports[0].value.empty());
-  std::vector<FrameTask> tasks;
-  for (std::size_t i = 0; i < fleet[0].size(); ++i) tasks.push_back(fleet[0].tasks()[i]);
-
-  const obs::MetricId adoptions =
-      obs::intern_metric(MetricKind::kCounter, "delta.table_adoptions");
-  const obs::MetricId cold_falls = obs::intern_metric(MetricKind::kCounter, "serve.cold_falls");
-  Registry metrics;
-  {
-    obs::ActiveScope scope(metrics);
-    DeltaSolver delta(fleet[0].curve(), fleet[0].work_per_cycle());
-    delta.adopt_table(tasks, std::move(tables.exports[0]));
-  }
-  EXPECT_EQ(metrics.counter(adoptions), 1u);
-  EXPECT_EQ(metrics.counter(cold_falls), 0u);
-}
-
 // MP-GREEDY's probe counters keep their meaning across the switch from an
 // EnergyMemo to a flat per-solve table: mp.probe_evals counts two E
 // evaluations per marginal-cost probe, mp.probe_misses the distinct loads

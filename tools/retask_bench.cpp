@@ -35,8 +35,6 @@
 #include "retask/core/fptas.hpp"
 #include "retask/core/greedy.hpp"
 #include "retask/core/lower_bound.hpp"
-#include "retask/core/mp_scale.hpp"
-#include "retask/core/multiproc.hpp"
 #include "retask/exp/harness.hpp"
 #include "retask/exp/stochastic_sweep.hpp"
 #include "retask/exp/workload.hpp"
@@ -219,25 +217,6 @@ std::vector<Workload> build_workloads(int jobs) {
                            obs::ActiveScope scope(metrics);
                            fractional_lower_bound(*problem);
                          }});
-  }
-
-  {
-    // Many-core scale-up pair: one m=64 / n=10^4 instance (per-PE load
-    // 0.75) solved by the toy-scale global greedy and by the partitioned
-    // scale solver. The greedy probes all 64 processors per task across its
-    // placement and improvement passes; mp-scale places in O(n log m) and
-    // runs the per-PE exact DPs in lockstep lanes. The _greedy/_scale
-    // speedup line is the headline number of the many-core story.
-    const std::unique_ptr<PowerModel> model = make_model_by_name("xscale");
-    ScenarioConfig config;
-    config.task_count = 10000;
-    config.load = 0.75 * 64;
-    config.resolution = 10000.0;  // generator floor: >= 1 cycle per task
-    config.processor_count = 64;
-    config.seed = 19;
-    const auto problem = std::make_shared<RejectionProblem>(make_scenario(config, *model));
-    solver_workload("mp_scale_m64_greedy", problem, std::make_shared<MultiProcGreedySolver>());
-    solver_workload("mp_scale_m64_scale", problem, std::make_shared<MultiProcScaleSolver>());
   }
 
   // A miniature R1-style comparison sweep: the full point x instance x
@@ -780,7 +759,6 @@ int run(const BenchCliOptions& options) {
   print_speedups("_cold", "_warm");
   print_speedups("_scalar", "_simd");
   print_speedups("_single", "_lanes");
-  print_speedups("_greedy", "_scale");
 
   if (!options.trace_out.empty()) {
     obs::write_chrome_trace_file(options.trace_out);

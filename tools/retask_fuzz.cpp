@@ -72,8 +72,8 @@ usage: retask_fuzz [options]
                      heap/tournament partitioners against the linear-scan
                      reference, mp-greedy against its cache-free reference,
                      mp-scale bit-invariance across jobs /
-                     lockstep lanes / SIMD backends, the rounds=0 composition
-                     identity with mp-ltf-dp, and Lagrangian lower-bound
+                     lockstep lanes / SIMD backends, mp-scale against its
+                     cache-free reference, and Lagrangian lower-bound
                      soundness
   --replay FILE      re-run one dumped counterexample and report
   --inject-broken    add a deliberately wrong solver (exact DP against an
