@@ -30,7 +30,8 @@
 //
 // Sharing contract: attach one memo (and one row) only to problems with
 // identical (EnergyCurve, work_per_cycle). Neither can verify this; the
-// attach sites in exp/harness and the benches are the audited callers.
+// attach sites in exp/harness, exp/mp_scale_sweep and the benches are the
+// audited callers.
 #ifndef RETASK_CACHE_ENERGY_MEMO_HPP
 #define RETASK_CACHE_ENERGY_MEMO_HPP
 
@@ -77,6 +78,9 @@ class EnergyMemo {
   /// A row for cycles [0, max_cycles] to attach_row, or null where the
   /// dense range would not be taken (max_cycles < 0 or past kDenseLimit).
   static std::shared_ptr<EnergyRow> make_row(Cycles max_cycles);
+
+  /// The attached row, or null.
+  const std::shared_ptr<EnergyRow>& row() const { return row_; }
 
   /// Returns the memoized energy for `cycles`, calling `compute(cycles)` on
   /// a miss and recording the result in the calling thread's shard. Safe to

@@ -27,8 +27,15 @@ RejectionSolution MultiProcScaleSolver::solve(const RejectionProblem& problem) c
   // lie in [0, min(capacity, total cycles)]; the attached row makes that
   // range dense and lets the pool's shards share one E(w) row, so each
   // value is computed once per solve instead of once per worker thread.
-  const auto memo = std::make_shared<EnergyMemo>();
-  memo->attach_row(EnergyMemo::make_row(std::min(capacity, problem.tasks().total_cycles())));
+  // A problem that already carries a row-backed memo (a sweep point's,
+  // shared by all its instances) lends it instead, so the row is computed
+  // once per sweep point; the subproblems share the platform, so the
+  // memo's sharing contract holds for them too.
+  std::shared_ptr<EnergyMemo> memo = problem.energy_memo();
+  if (memo == nullptr || memo->row() == nullptr) {
+    memo = std::make_shared<EnergyMemo>();
+    memo->attach_row(EnergyMemo::make_row(std::min(capacity, problem.tasks().total_cycles())));
+  }
   const auto energy_at = [&](Cycles cycles) {
     return memo->get_or_compute(cycles, [&](Cycles c) {
       return problem.curve().energy(problem.work_per_cycle() * static_cast<double>(c));

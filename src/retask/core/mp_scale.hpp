@@ -23,7 +23,10 @@
 //     solve, so the result is invariant to RETASK_JOBS, RETASK_BATCH and
 //     the SIMD backend. Placement and the subproblems read energies through
 //     one dense EnergyMemo backed by one EnergyRow (cache/energy_row.hpp),
-//     so each E(w) is computed once per solve.
+//     so each E(w) is computed once per solve. When the problem already
+//     carries a row-backed memo (exp/mp_scale_sweep attaches one per sweep
+//     point), that memo is used, and each E(w) is computed once per sweep
+//     point instead.
 //
 // Each PE's exact solve is at least as good as the placement's accept set
 // on that PE, so the result never exceeds the placement's objective.

@@ -82,9 +82,13 @@ RejectionSolution MultiProcGreedySolver::solve(const RejectionProblem& problem) 
   // many-core scale, and every load is a cycle count in
   // [0, min(capacity, total cycles)]. The solve is serial, so a flat table
   // over that range, filled on first touch (NaN = not yet evaluated),
-  // replaces a memo: a lookup is one indexed load, and the table replays
-  // the bits computed once, so caching cannot change a solution bit. A range
-  // wider than EnergyMemo::kDenseLimit (a huge capacity) uses a map instead.
+  // replaces a memo on the hot scan: a lookup is one indexed load, and the
+  // table replays the bits computed once, so caching cannot change a
+  // solution bit. A range wider than EnergyMemo::kDenseLimit (a huge
+  // capacity) uses a map instead. Misses go through energy_of_cycles, so a
+  // memo the problem carries (exp/mp_scale_sweep attaches one per sweep
+  // point, backed by a prefilled EnergyRow) serves them instead of the
+  // curve; it replays the same expression's bits.
   const Cycles top = std::min(capacity, problem.tasks().total_cycles());
   std::vector<double> table(
       top >= 0 && static_cast<std::size_t>(top) < EnergyMemo::kDenseLimit
@@ -99,14 +103,14 @@ RejectionSolution MultiProcGreedySolver::solve(const RejectionProblem& problem) 
       double& energy = table[w];
       if (std::isnan(energy)) {
         ++probe_misses;
-        energy = problem.curve().energy(problem.work_per_cycle() * static_cast<double>(cycles));
+        energy = problem.energy_of_cycles(cycles);
       }
       return energy;
     }
     const auto [it, fresh] = sparse.try_emplace(cycles, 0.0);
     if (fresh) {
       ++probe_misses;
-      it->second = problem.curve().energy(problem.work_per_cycle() * static_cast<double>(cycles));
+      it->second = problem.energy_of_cycles(cycles);
     }
     return it->second;
   };

@@ -1,8 +1,12 @@
 #include "retask/exp/mp_scale_sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 
+#include "retask/cache/energy_memo.hpp"
+#include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
 #include "retask/core/algorithm_registry.hpp"
@@ -46,6 +50,34 @@ MpScaleSweepResult run_mp_scale_sweep(const MpScaleSweepConfig& config, const Po
   if (config.record_bound_gap) {
     for (const InstanceSlot& slot : slots) result.bound.add(slot.bound);
   }
+
+  // One energy row for the point: every instance shares the platform, so
+  // every solve of every solver reads the same E(w) row. It is filled
+  // across the pool before the timed loops, so no solver inherits values
+  // another one computed and the per-solver throughputs stay comparable.
+  // A platform that varies with the seed keeps each solver's private path.
+  const auto row_start = std::chrono::steady_clock::now();
+  const RejectionProblem& first = *slots.front().problem;
+  const bool one_platform = std::all_of(slots.begin(), slots.end(), [&](const InstanceSlot& slot) {
+    return same_platforms(first, *slot.problem);
+  });
+  if (const auto row = one_platform ? EnergyMemo::make_row(first.cycle_capacity()) : nullptr) {
+    const auto memo = std::make_shared<EnergyMemo>();
+    memo->attach_row(row);
+    parallel_for(
+        (row->width() + 63) / 64,
+        [&](std::size_t c) {
+          double values[64];
+          row->fill(c * 64, row->inside(c * 64, ~std::uint64_t{0}), values,
+                    [&](const Cycles* cycles, double* out, std::size_t n) {
+                      first.curve().energy_cycles_batch(first.work_per_cycle(), cycles, out, n);
+                    });
+        },
+        jobs);
+    for (const InstanceSlot& slot : slots) slot.problem->attach_energy_memo(memo);
+  }
+  result.row_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - row_start).count();
 
   // The timed loops run serially, one solver over all instances: the solver
   // under test owns the whole pool during its solve, so the throughput

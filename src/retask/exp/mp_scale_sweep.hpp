@@ -9,12 +9,19 @@
 //
 // Sharding: instance construction and the per-instance lower bounds run
 // through parallel_for into per-instance slots (instance k is fully
-// determined by seed0 + k, never by the worker that built it). The timed
-// solves then run serially in instance order — the solvers own the pool
-// during their solve (mp-scale's lockstep phase shards its lane chunks
-// across parallel_for), so timing them one at a time measures each solver
-// at full width instead of m solvers fighting for the same workers. All
-// quality aggregates are bit-identical at any job count; only the wall
+// determined by seed0 + k, never by the worker that built it). When every
+// instance shares one platform (same_platforms), all of them then get one
+// EnergyMemo backed by one EnergyRow over [0, cycle_capacity]
+// (cache/energy_row.hpp), and that row is filled across the pool in 64-row
+// chunks before any solve is timed: every solve of every solver reads
+// E(w) from it instead of recomputing the row per solve, and no solver's
+// timing includes values another solver computed. The timed solves then
+// run serially in instance order — the solvers own the pool during their
+// solve (mp-scale's lockstep phase shards its lane chunks across
+// parallel_for), so timing them one at a time measures each solver at full
+// width instead of m solvers fighting for the same workers. The row only
+// replays values the cold path computes, so all quality aggregates are
+// bit-identical with or without it and at any job count; only the wall
 // times are machine-dependent.
 #ifndef RETASK_EXP_MP_SCALE_SWEEP_HPP
 #define RETASK_EXP_MP_SCALE_SWEEP_HPP
@@ -67,6 +74,11 @@ struct MpScaleSolverStats {
 struct MpScaleSweepResult {
   OnlineStats bound;                        ///< Lagrangian bound values
   std::vector<MpScaleSolverStats> solvers;  ///< config.solvers order
+  /// Wall time of the shared energy-row fill, which precedes (and is not
+  /// part of) every solver's solve_seconds. When the instances do not
+  /// share a platform no row is built and this times only that check.
+  /// Machine-dependent.
+  double row_seconds = 0.0;
 };
 
 /// Runs the sweep point on `model`. `jobs` = 0 uses default_jobs(); the

@@ -46,6 +46,9 @@ ThreadDirectory& thread_directory() {
 struct ThreadState {
   std::shared_ptr<Registry> default_registry = std::make_shared<Registry>();
   Registry* active = nullptr;
+  /// Idle scratch registries of ActiveScopes on non-empty targets (LIFO,
+  /// like the scopes themselves).
+  std::vector<std::unique_ptr<Registry>> scratch;
 
   ThreadState() {
     active = default_registry.get();
@@ -225,12 +228,28 @@ Registry& active() { return *thread_state().active; }
 
 ActiveScope::ActiveScope(Registry& target, bool fold_into_parent)
     : target_(&target), previous_(thread_state().active), fold_(fold_into_parent) {
-  thread_state().active = target_;
+  ThreadState& state = thread_state();
+  if (fold_ && !target.empty()) {
+    // Record apart so the exit folds only this scope's values. Scratch
+    // registries are pooled per thread and keep their capacity, so a
+    // reused target costs no allocation once the pool is warm.
+    if (state.scratch.empty()) state.scratch.push_back(std::make_unique<Registry>());
+    scratch_ = std::move(state.scratch.back());
+    state.scratch.pop_back();
+  }
+  state.active = scratch_ != nullptr ? scratch_.get() : target_;
 }
 
 ActiveScope::~ActiveScope() {
-  thread_state().active = previous_;
-  if (fold_ && previous_ != nullptr && !target_->empty()) previous_->merge(*target_);
+  ThreadState& state = thread_state();
+  state.active = previous_;
+  const Registry& recorded = scratch_ != nullptr ? *scratch_ : *target_;
+  if (fold_ && previous_ != nullptr && !recorded.empty()) previous_->merge(recorded);
+  if (scratch_ != nullptr) {
+    target_->merge(*scratch_);
+    scratch_->clear();
+    state.scratch.push_back(std::move(scratch_));
+  }
 }
 
 Registry global_snapshot() {

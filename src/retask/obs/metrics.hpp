@@ -41,6 +41,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -124,8 +125,13 @@ Registry& active();
 
 /// Installs `target` as the calling thread's active registry for the scope's
 /// lifetime. On destruction the previous target is restored and, by
-/// default, the collected values are folded into it so surrounding totals
-/// remain complete.
+/// default, the values recorded during the scope are folded into it so
+/// surrounding totals remain complete. A target that already holds values
+/// (a slot scoped more than once) gets only this scope's recordings added,
+/// and only those reach the parent: the scope records into a scratch
+/// registry and merges it into both on exit, so k scopes on one target
+/// fold each recording once, not 1 + 2 + ... + k times. While such a scope
+/// is open, the target does not yet show its recordings.
 class ActiveScope {
  public:
   explicit ActiveScope(Registry& target, bool fold_into_parent = true);
@@ -137,6 +143,10 @@ class ActiveScope {
   Registry* target_;
   Registry* previous_;
   bool fold_;
+  /// Where the scope records when its target was non-empty at entry and
+  /// it folds, taken from and returned to a per-thread pool; null
+  /// otherwise, and the scope records straight into the target.
+  std::unique_ptr<Registry> scratch_;
 };
 
 /// Merge of every thread's default registry (live and retired threads).

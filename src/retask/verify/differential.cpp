@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "retask/batch/lockstep.hpp"
+#include "retask/cache/energy_memo.hpp"
 #include "retask/cache/sweep.hpp"
 #include "retask/common/error.hpp"
 #include "retask/common/parallel.hpp"
@@ -672,12 +673,13 @@ std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,
 
   // 1b) MP-GREEDY (flat energy table + per-PE E(load) cache) vs its
   // cache-free reference, which evaluates the curve on every probe.
+  RejectionSolution greedy_ref;
   try {
     const RejectionSolution fast = MultiProcGreedySolver().solve(problem);
-    const RejectionSolution ref = mp_greedy_reference(problem);
-    if (!same_solution(fast, ref)) {
+    greedy_ref = mp_greedy_reference(problem);
+    if (!same_solution(fast, greedy_ref)) {
       mismatch("mp-greedy", "objective " + fmt(fast.objective()) + " != cache-free reference " +
-                                fmt(ref.objective()) + " (or masks/bindings differ)");
+                                fmt(greedy_ref.objective()) + " (or masks/bindings differ)");
     }
   } catch (const std::exception& error) {
     mismatch("mp-greedy", std::string("mp-greedy diff threw: ") + error.what());
@@ -739,6 +741,27 @@ std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,
     if (base.objective() < bound - 1e-9 * std::max(1.0, bound)) {
       mismatch("mp-lower-bound", "mp-scale objective " + fmt(base.objective()) +
                                      " undercuts the Lagrangian bound " + fmt(bound));
+    }
+
+    // 3c) The sweep's shared-row path (exp/mp_scale_sweep): a copy of the
+    // instance carrying one row-backed memo, warmed by MP-GREEDY's misses
+    // and then lent to MP-SCALE's placement and per-PE solves, must
+    // reproduce both cache-free references.
+    RejectionProblem shared = problem;
+    const auto memo = std::make_shared<EnergyMemo>();
+    memo->attach_row(EnergyMemo::make_row(shared.cycle_capacity()));
+    shared.attach_energy_memo(memo);
+    const RejectionSolution shared_greedy = MultiProcGreedySolver().solve(shared);
+    if (!same_solution(shared_greedy, greedy_ref)) {
+      mismatch("mp-greedy", "shared-row objective " + fmt(shared_greedy.objective()) +
+                                " != cache-free reference " + fmt(greedy_ref.objective()) +
+                                " (or masks/bindings differ)");
+    }
+    const RejectionSolution shared_scale = MultiProcScaleSolver().solve(shared);
+    if (!same_solution(shared_scale, ref)) {
+      mismatch("mp-scale", "shared-row objective " + fmt(shared_scale.objective()) +
+                               " != cache-free reference " + fmt(ref.objective()) +
+                               " (or masks/bindings differ)");
     }
   } catch (const std::exception& error) {
     mismatch("mp-scale", std::string("mp diff threw: ") + error.what());

@@ -157,7 +157,9 @@ std::vector<PropertyViolation> check_stochastic_diff(const InstanceSpec& spec,
 /// identical; (3) mp-scale equals its cache-free reference
 /// (`mp_scale_reference`) bit for bit, and its objective stays at or above
 /// the multiprocessor Lagrangian lower bound (soundness of
-/// core/lower_bound).
+/// core/lower_bound); MP-GREEDY then MP-SCALE on a copy carrying one
+/// shared, row-backed EnergyMemo (the many-core sweep's path, the row
+/// warmed by the first solve) match both references bit for bit.
 /// Violations are "mp-diff". Layers 2-3 need processor_count >= 2; layer 1
 /// runs on every instance.
 std::vector<PropertyViolation> check_mp_diff(const InstanceSpec& spec,

@@ -1,16 +1,20 @@
 // Tests for the many-core scale solver: validity, the bound/optimum
 // sandwich, bit-identity with its cache-free reference, bitwise invariance
-// across jobs / lockstep lanes / SIMD backends, and overload handling.
+// across jobs / lockstep lanes / SIMD backends, the sweep's shared energy
+// row, and overload handling.
 #include "retask/core/mp_scale.hpp"
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "retask/core/algorithm_registry.hpp"
 #include "retask/core/exhaustive.hpp"
 #include "retask/core/lower_bound.hpp"
 #include "retask/core/multiproc.hpp"
+#include "retask/exp/mp_scale_sweep.hpp"
 #include "retask/exp/workload.hpp"
 #include "retask/obs/metrics.hpp"
 #include "retask/power/polynomial_power.hpp"
@@ -168,6 +172,54 @@ TEST(MpScale, SharedRowKeepsRecordedSolutionAndCounters) {
 #else
     EXPECT_TRUE(metrics.empty());
 #endif
+  }
+}
+
+TEST(MpScale, SweepSharedRowMatchesMemoFreeSolves) {
+  // run_mp_scale_sweep lends one prefilled, row-backed EnergyMemo to every
+  // instance of the point. Every per-solver aggregate must equal the one
+  // built from memo-free direct solves of the same seeds, bit for bit, at
+  // one job and on a pool (which fills the row concurrently).
+  MpScaleSweepConfig config;
+  config.scenario.task_count = 600;
+  config.scenario.load = 0.75 * 8;
+  config.scenario.resolution = 1000.0;
+  config.scenario.processor_count = 8;
+  config.instances = 3;
+  config.seed0 = 5;
+  const PolynomialPowerModel model = PolynomialPowerModel::xscale();
+
+  std::vector<OnlineStats> objective(config.solvers.size());
+  std::vector<OnlineStats> acceptance(config.solvers.size());
+  std::vector<OnlineStats> bound_ratio(config.solvers.size());
+  for (int k = 0; k < config.instances; ++k) {
+    ScenarioConfig scenario = config.scenario;
+    scenario.seed = config.seed0 + static_cast<std::uint64_t>(k);
+    const RejectionProblem p = make_scenario(scenario, model);
+    ASSERT_EQ(p.energy_memo(), nullptr);
+    const double bound = multiproc_lower_bound(p);
+    ASSERT_GT(bound, 0.0);
+    for (std::size_t s = 0; s < config.solvers.size(); ++s) {
+      const RejectionSolution solution = make_solver(config.solvers[s])->solve(p);
+      objective[s].add(solution.objective());
+      acceptance[s].add(solution.acceptance_ratio());
+      bound_ratio[s].add(solution.objective() / bound);
+    }
+  }
+
+  for (const int jobs : {1, 4}) {
+    const MpScaleSweepResult result = run_mp_scale_sweep(config, model, jobs);
+    ASSERT_EQ(result.solvers.size(), config.solvers.size());
+    EXPECT_GE(result.row_seconds, 0.0);
+    for (std::size_t s = 0; s < config.solvers.size(); ++s) {
+      const MpScaleSolverStats& stats = result.solvers[s];
+      EXPECT_EQ(stats.objective.mean(), objective[s].mean())
+          << config.solvers[s] << " jobs " << jobs;
+      EXPECT_EQ(stats.acceptance.mean(), acceptance[s].mean())
+          << config.solvers[s] << " jobs " << jobs;
+      EXPECT_EQ(stats.bound_ratio.mean(), bound_ratio[s].mean())
+          << config.solvers[s] << " jobs " << jobs;
+    }
   }
 }
 

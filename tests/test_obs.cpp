@@ -148,6 +148,45 @@ TEST(Metrics, ActiveScopeAttributesAndFoldsIntoParent) {
   EXPECT_EQ(outer.counter(c), 2u);  // unchanged
 }
 
+TEST(Metrics, ReusedScopeTargetFoldsEachRecordingOnce) {
+  // One registry scoped three times (a per-cell slot, a per-solver total):
+  // each scope folds only its own recordings into the parent, and the
+  // target keeps everything it was given.
+  const obs::MetricId c = obs::intern_metric(MetricKind::kCounter, "test_obs.reuse_c");
+  const obs::MetricId h = obs::intern_metric(MetricKind::kHistogram, "test_obs.reuse_h");
+  const obs::MetricId g = obs::intern_metric(MetricKind::kGauge, "test_obs.reuse_g");
+  Registry parent;
+  obs::ActiveScope parent_scope(parent);
+  Registry reused;
+  for (int k = 1; k <= 3; ++k) {
+    obs::ActiveScope scope(reused);
+    obs::active().add(c, 100);
+    obs::active().record(h, k);
+    obs::active().gauge_max(g, 4 - k);
+  }
+  EXPECT_EQ(reused.counter(c), 300u);
+  EXPECT_EQ(parent.counter(c), 300u);
+  ASSERT_NE(reused.histogram(h), nullptr);
+  ASSERT_NE(parent.histogram(h), nullptr);
+  EXPECT_EQ(reused.histogram(h)->count, 3u);
+  EXPECT_EQ(parent.histogram(h)->count, 3u);
+  EXPECT_EQ(reused.histogram(h)->min, 1.0);
+  EXPECT_EQ(reused.histogram(h)->max, 3.0);
+  EXPECT_EQ(reused.gauge(g), 3.0);
+  EXPECT_EQ(parent.gauge(g), 3.0);
+
+  // A scope that records nothing folds nothing, and a non-folding scope on
+  // a reused target still accumulates there without reaching the parent.
+  { obs::ActiveScope idle(reused); }
+  EXPECT_EQ(parent.counter(c), 300u);
+  {
+    obs::ActiveScope scope(reused, /*fold_into_parent=*/false);
+    obs::active().add(c, 7);
+  }
+  EXPECT_EQ(reused.counter(c), 307u);
+  EXPECT_EQ(parent.counter(c), 300u);
+}
+
 // Select-read counter parity, pinned: the per-chunk accessor counts memo
 // hits/misses once per 64-row chunk by popcount, and the select counters
 // once per chunk by the predicted-row popcount. Both must reproduce the

@@ -73,8 +73,10 @@ usage: retask_fuzz [options]
                      reference, mp-greedy against its cache-free reference,
                      mp-scale bit-invariance across jobs /
                      lockstep lanes / SIMD backends, mp-scale against its
-                     cache-free reference, and Lagrangian lower-bound
-                     soundness
+                     cache-free reference, mp-greedy then mp-scale over
+                     one shared energy-row memo (the many-core sweep's
+                     path) against both references, and Lagrangian
+                     lower-bound soundness
   --replay FILE      re-run one dumped counterexample and report
   --inject-broken    add a deliberately wrong solver (exact DP against an
                      off-by-one capacity); the sweep must catch it
